@@ -223,6 +223,9 @@ if [[ "${DO_BENCH}" == 1 ]]; then
     # every PR: its throughput rates get the same wide berth as the
     # explorer rate. Its corpus.findings count is deterministic and
     # stays at the default tolerance.
+    # The engine microbenchmarks are wall-clock rates too: the same wide,
+    # higher-is-better berth. Their deterministic counts (churn
+    # tombstones, events per remote write) stay at the default tolerance.
     # The fault-ablation rows under loss measure recovery tails, which
     # swing with any retransmit-timing change: their latencies are
     # lower-is-better (an earlier repair is a win, not a regression)
@@ -255,6 +258,30 @@ if [[ "${DO_BENCH}" == 1 ]]; then
         --dir-metric explore.schedules_per_sec=up \
         --dir-metric tree.files_per_sec=up \
         --dir-metric corpus.files_per_sec=up \
+        --tol-metric event_queue.events_per_sec=90 \
+        --tol-metric churn.events_per_sec=90 \
+        --tol-metric crc_64.mb_per_sec=90 \
+        --tol-metric crc_4096.mb_per_sec=90 \
+        --tol-metric crc_65536.mb_per_sec=90 \
+        --tol-metric aal5_40.mb_per_sec=90 \
+        --tol-metric aal5_4096.mb_per_sec=90 \
+        --tol-metric aal5_32768.mb_per_sec=90 \
+        --tol-metric codec.ops_per_sec=90 \
+        --tol-metric marshal.ops_per_sec=90 \
+        --tol-metric pcg.draws_per_sec=90 \
+        --tol-metric remote_write.ops_per_sec=90 \
+        --dir-metric event_queue.events_per_sec=up \
+        --dir-metric churn.events_per_sec=up \
+        --dir-metric crc_64.mb_per_sec=up \
+        --dir-metric crc_4096.mb_per_sec=up \
+        --dir-metric crc_65536.mb_per_sec=up \
+        --dir-metric aal5_40.mb_per_sec=up \
+        --dir-metric aal5_4096.mb_per_sec=up \
+        --dir-metric aal5_32768.mb_per_sec=up \
+        --dir-metric codec.ops_per_sec=up \
+        --dir-metric marshal.ops_per_sec=up \
+        --dir-metric pcg.draws_per_sec=up \
+        --dir-metric remote_write.ops_per_sec=up \
         --dir-metric write_x4.latency_speedup=up \
         --dir-metric write_x8.latency_speedup=up \
         --dir-metric write_x16.latency_speedup=up \

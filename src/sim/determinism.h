@@ -7,7 +7,8 @@
  * wall-clock, no platform randomness, no coroutine parameters that
  * dangle across suspension); the digest is the dynamic backstop. The
  * Simulator folds every scheduled, executed, and cancelled event into
- * an FNV-1a hash as it happens, and components fold in their own
+ * an FNV-1a hash as it happens (as integer-tagged records keyed by the
+ * event's insertion sequence number), and components fold in their own
  * (time, kind, actor) records at protocol-level milestones via
  * Simulator::noteDigest(). Any divergence between two runs — a
  * reordered wakeup, an extra retry, a different random draw — yields a
@@ -41,10 +42,7 @@ class DeterminismDigest
     void
     mixU64(uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            hash_ = (hash_ ^ (v & 0xffu)) * kPrime;
-            v >>= 8;
-        }
+        foldU64(v);
         ++records_;
     }
 
@@ -55,6 +53,25 @@ class DeterminismDigest
         for (char c : s) {
             hash_ = (hash_ ^ static_cast<uint8_t>(c)) * kPrime;
         }
+        ++records_;
+    }
+
+    /** Tag bytes of the simulator's per-event records (mixTagged). */
+    static constexpr uint8_t kTagSched = 1;
+    static constexpr uint8_t kTagExec = 2;
+    static constexpr uint8_t kTagCancel = 3;
+
+    /**
+     * Fold one (time, tag, actor) record: the integer-tagged form of
+     * mixRecord for the scheduler's per-event records, which would
+     * otherwise hash a kind string per event. Counts as one record.
+     */
+    void
+    mixTagged(int64_t time, uint8_t tag, uint64_t actor)
+    {
+        foldU64(static_cast<uint64_t>(time));
+        hash_ = (hash_ ^ tag) * kPrime;
+        foldU64(actor);
         ++records_;
     }
 
@@ -82,6 +99,15 @@ class DeterminismDigest
     }
 
   private:
+    void
+    foldU64(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ = (hash_ ^ (v & 0xffu)) * kPrime;
+            v >>= 8;
+        }
+    }
+
     uint64_t hash_ = kOffset;
     uint64_t records_ = 0;
 };

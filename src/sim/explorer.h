@@ -142,11 +142,11 @@ class ScheduleExplorer
     struct Node
     {
         /** Ready set at this point, insertion order (run-invariant). */
-        std::vector<EventId> altIds;
+        std::vector<uint64_t> altIds;
         /** Index currently being explored. */
         size_t chosen = 0;
         /** Explored + inherited-sleeping alternatives. */
-        std::set<EventId> sleep;
+        std::set<uint64_t> sleep;
         /** Alternatives actually executed from this node. */
         size_t explored = 0;
     };

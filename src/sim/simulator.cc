@@ -140,29 +140,80 @@ EventId
 Simulator::scheduleAt(Time when, Callback fn)
 {
     REMORA_ASSERT(when >= now_);
-    EventId id = nextId_++;
-    queue_.push(Entry{when, id});
-    callbacks_.emplace(id, PendingEvent{std::move(fn), currentHint_});
-    digest_.mixRecord(when, "sched", id);
-    return id;
+    uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        REMORA_ASSERT(slots_.size() < UINT32_MAX);
+        slot = static_cast<uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    uint64_t seq = nextSeq_++;
+    Slot &s = slots_[slot];
+    s.seq = seq;
+    s.fn = std::move(fn);
+    s.hint = currentHint_;
+    ++live_;
+    queue_.push(Entry{when, seq, slot});
+    digest_.mixTagged(when, DeterminismDigest::kTagSched, seq);
+    return static_cast<uint64_t>(s.generation) << 32 | slot;
+}
+
+Simulator::Callback
+Simulator::take(uint32_t slot)
+{
+    Slot &s = slots_[slot];
+    Callback fn = std::exchange(s.fn, nullptr);
+    s.seq = 0;
+    // Skip 0 on wrap-around so a handle is never 0.
+    if (++s.generation == 0) {
+        s.generation = 1;
+    }
+    freeSlots_.push_back(slot);
+    --live_;
+    return fn;
 }
 
 void
 Simulator::cancel(EventId id)
 {
     // The heap entry stays behind as a tombstone; step() skips entries
-    // whose callback has been erased.
-    if (callbacks_.erase(id) != 0) {
-        digest_.mixRecord(now_, "cancel", id);
+    // whose slot no longer holds their seq.
+    auto slot = static_cast<uint32_t>(id);
+    auto generation = static_cast<uint32_t>(id >> 32);
+    if (slot >= slots_.size() || slots_[slot].seq == 0 ||
+        slots_[slot].generation != generation) {
+        return;
     }
+    digest_.mixTagged(now_, DeterminismDigest::kTagCancel, slots_[slot].seq);
+    // The returned callback dies at the end of this statement, once the
+    // slot bookkeeping is consistent: a capture's destructor may itself
+    // schedule or cancel.
+    take(slot);
+}
+
+void
+Simulator::execute(Entry e)
+{
+    DepHint hint = slots_[e.slot].hint;
+    Callback fn = take(e.slot);
+    REMORA_ASSERT(e.when >= now_);
+    now_ = e.when;
+    ++processed_;
+    digest_.mixTagged(now_, DeterminismDigest::kTagExec, e.seq);
+    // The executing event's hint becomes ambient so events it schedules
+    // inherit their causal chain's hint (until a HintScope overrides).
+    DepHint prev = std::exchange(currentHint_, hint);
+    fn();
+    currentHint_ = prev;
 }
 
 bool
 Simulator::step()
 {
     // Drop leading tombstones so emptiness checks see live state.
-    while (!queue_.empty() &&
-           callbacks_.find(queue_.top().id) == callbacks_.end()) {
+    while (!queue_.empty() && !isLive(queue_.top())) {
         queue_.pop();
     }
     if (queue_.empty()) {
@@ -176,51 +227,44 @@ Simulator::step()
         return false;
     }
 
+    if (policy_ == nullptr) {
+        // Insertion order always picks the heap top.
+        Entry top = queue_.top();
+        queue_.pop();
+        execute(top);
+        return true;
+    }
+
     // Gather the full ready set at the minimal timestamp. The heap
-    // orders by (when, id), so the batch comes out in insertion order.
+    // orders by (when, seq), so the batch comes out in insertion order.
     Time when = queue_.top().when;
     batch_.clear();
     while (!queue_.empty() && queue_.top().when == when) {
         Entry e = queue_.top();
         queue_.pop();
-        if (callbacks_.find(e.id) != callbacks_.end()) {
+        if (isLive(e)) {
             batch_.push_back(e);
         }
     }
     size_t chosen = 0;
     if (batch_.size() > 1) {
         ++decisions_;
-        if (policy_ != nullptr) {
-            ready_.clear();
-            for (const Entry &e : batch_) {
-                ready_.push_back(ReadyChoice{e.id, callbacks_[e.id].hint});
-            }
-            chosen = policy_->choose(*this, ready_);
-            REMORA_ASSERT(chosen < batch_.size());
-            // Every consulted choice lands in the digest, so a replayed
-            // choice vector reproduces the run bit-identically.
-            digest_.mixRecord(when, "choice", chosen);
+        ready_.clear();
+        for (const Entry &e : batch_) {
+            ready_.push_back(ReadyChoice{e.seq, slots_[e.slot].hint});
         }
+        chosen = policy_->choose(*this, ready_);
+        REMORA_ASSERT(chosen < batch_.size());
+        // Every consulted choice lands in the digest, so a replayed
+        // choice vector reproduces the run bit-identically.
+        digest_.mixRecord(when, "choice", chosen);
     }
     for (size_t i = 0; i < batch_.size(); ++i) {
         if (i != chosen) {
             queue_.push(batch_[i]);
         }
     }
-
-    Entry top = batch_[chosen];
-    auto it = callbacks_.find(top.id);
-    PendingEvent ev = std::move(it->second);
-    callbacks_.erase(it);
-    REMORA_ASSERT(top.when >= now_);
-    now_ = top.when;
-    ++processed_;
-    digest_.mixRecord(now_, "exec", top.id);
-    // The executing event's hint becomes ambient so events it schedules
-    // inherit their causal chain's hint (until a HintScope overrides).
-    DepHint prev = std::exchange(currentHint_, ev.hint);
-    ev.fn();
-    currentHint_ = prev;
+    execute(batch_[chosen]);
     return true;
 }
 
@@ -230,8 +274,8 @@ Simulator::run(Time limit)
     uint64_t count = 0;
     while (!queue_.empty()) {
         // Peek past tombstones without executing.
-        Entry top = queue_.top();
-        if (callbacks_.find(top.id) == callbacks_.end()) {
+        const Entry &top = queue_.top();
+        if (!isLive(top)) {
             queue_.pop();
             continue;
         }

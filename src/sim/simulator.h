@@ -41,7 +41,6 @@
 #include <memory>
 #include <queue>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/determinism.h"
@@ -50,7 +49,11 @@
 
 namespace remora::sim {
 
-/** Opaque handle identifying a scheduled event, usable for cancellation. */
+/**
+ * Opaque handle identifying a scheduled event, usable for cancellation:
+ * (generation << 32) | slot. Generations start at 1, so a handle is
+ * never 0 and callers may use 0 as "no event".
+ */
 using EventId = uint64_t;
 
 class Simulator;
@@ -127,14 +130,16 @@ struct DepHint
 /** One runnable alternative offered to a SchedulePolicy. */
 struct ReadyChoice
 {
-    EventId id = 0;
+    /** The event's insertion sequence number: stable across replays of
+     *  the same workload, unlike the slot-recycling EventId handle. */
+    uint64_t id = 0;
     DepHint hint;
 };
 
 /**
  * Same-instant tie-break strategy. choose() is consulted only when two
  * or more events are ready at the minimal timestamp (a *decision
- * point*); the ready set is ordered by insertion (EventId ascending).
+ * point*); the ready set is ordered by insertion (id ascending).
  */
 class SchedulePolicy
 {
@@ -233,7 +238,9 @@ class Simulator
      * Cancel a previously scheduled event.
      *
      * Cancelling an event that already ran (or was already cancelled) is
-     * a harmless no-op, which lets timeout guards race completion safely.
+     * a harmless no-op, which lets timeout guards race completion safely
+     * — even when the handle's slot now holds a newer event. The
+     * callback, and whatever it captured, is destroyed at once.
      */
     void cancel(EventId id);
 
@@ -264,7 +271,7 @@ class Simulator
     size_t pendingEvents() const { return queue_.size(); }
 
     /** Pending events that are still live (not cancelled). */
-    size_t livePendingEvents() const { return callbacks_.size(); }
+    size_t livePendingEvents() const { return live_; }
 
     /**
      * Fold a component-level (now, kind, actor) record into the
@@ -321,7 +328,11 @@ class Simulator
     /** The active policy (nullptr = insertion order). */
     SchedulePolicy *policy() const { return policy_; }
 
-    /** Decision points hit so far (ready sets with >= 2 events). */
+    /**
+     * Policy consultations so far: ready sets of two or more events
+     * offered to an installed policy. Always 0 without a policy, since
+     * insertion order then runs the heap top without gathering ties.
+     */
     uint64_t decisionPoints() const { return decisions_; }
 
     /**
@@ -362,7 +373,7 @@ class Simulator
     bool
     allDone() const
     {
-        return callbacks_.empty() && blockedTaskCount() == 0;
+        return live_ == 0 && blockedTaskCount() == 0;
     }
 
     /** The ambient dependency hint inherited by scheduled events. */
@@ -393,26 +404,43 @@ class Simulator
     };
 
   private:
+    /**
+     * Heap entry. It is live while slots_[slot].seq == seq; a cancelled
+     * or executed event leaves its entry behind as a tombstone.
+     */
     struct Entry
     {
         Time when;
-        EventId id;
-        // Ordered min-first by (when, id): insertion order per instant.
+        uint64_t seq;
+        uint32_t slot;
+        // Ordered min-first by (when, seq): insertion order per instant.
         bool
         operator>(const Entry &o) const
         {
-            return when != o.when ? when > o.when : id > o.id;
+            return when != o.when ? when > o.when : seq > o.seq;
         }
     };
 
-    struct PendingEvent
+    /** One pending-event slot, recycled through freeSlots_. */
+    struct Slot
     {
+        uint64_t seq = 0; ///< Occupant's insertion sequence; 0 = free.
+        uint32_t generation = 1; ///< Bumped on every release.
         Callback fn;
         DepHint hint;
     };
 
+    bool isLive(const Entry &e) const { return slots_[e.slot].seq == e.seq; }
+
+    /** Free @p slot, staling its handles; returns its callback. */
+    Callback take(uint32_t slot);
+
+    /** Run the live event @p e (already popped from the heap). */
+    void execute(Entry e);
+
     Time now_ = 0;
-    EventId nextId_ = 1;
+    uint64_t nextSeq_ = 1;
+    size_t live_ = 0;
     uint64_t processed_ = 0;
     uint64_t perturbSeed_ = 0;
     uint64_t decisions_ = 0;
@@ -421,13 +449,13 @@ class Simulator
     bool haltOnDeadlock_ = true;
     DeterminismDigest digest_;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-    // Callbacks keyed by id; erased on execution or cancellation.
-    std::unordered_map<EventId, PendingEvent> callbacks_;
+    std::vector<Slot> slots_;
+    std::vector<uint32_t> freeSlots_;
     SchedulePolicy *policy_ = nullptr;
     std::unique_ptr<PerturbPolicy> ownedPerturb_;
     DepHint currentHint_;
     WaitGraph graph_;
-    // Scratch buffers reused across step() calls.
+    // Scratch buffers reused across policy decision points.
     std::vector<Entry> batch_;
     std::vector<ReadyChoice> ready_;
 };

@@ -21,23 +21,43 @@ makeCrc8Table()
     return table;
 }
 
-/** Build the 256-entry table for the reflected IEEE CRC-32 poly. */
-constexpr std::array<uint32_t, 256>
-makeCrc32Table()
+/**
+ * Build the slicing-by-8 tables for the reflected IEEE CRC-32 poly.
+ * Table 0 is the classic bytewise table; table k advances a byte's
+ * contribution past k more zero bytes, so eight input bytes fold in
+ * with eight independent lookups.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 8>
+makeCrc32Tables()
 {
-    std::array<uint32_t, 256> table{};
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t crc = i;
         for (int bit = 0; bit < 8; ++bit) {
             crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
     }
-    return table;
+    for (size_t k = 1; k < 8; ++k) {
+        for (size_t i = 0; i < 256; ++i) {
+            uint32_t prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][prev & 0xffu];
+        }
+    }
+    return t;
 }
 
 constexpr auto kCrc8Table = makeCrc8Table();
-constexpr auto kCrc32Table = makeCrc32Table();
+constexpr auto kCrc32 = makeCrc32Tables();
+
+/** Little-endian 32-bit load, whatever the host byte order. */
+uint32_t
+loadLe32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+}
 
 } // namespace
 
@@ -64,8 +84,18 @@ void
 Crc32::update(std::span<const uint8_t> data)
 {
     uint32_t crc = state_;
-    for (uint8_t b : data) {
-        crc = (crc >> 8) ^ kCrc32Table[(crc ^ b) & 0xffu];
+    const uint8_t *p = data.data();
+    size_t n = data.size();
+    for (; n >= 8; p += 8, n -= 8) {
+        uint32_t lo = loadLe32(p) ^ crc;
+        uint32_t hi = loadLe32(p + 4);
+        crc = kCrc32[7][lo & 0xffu] ^ kCrc32[6][(lo >> 8) & 0xffu] ^
+              kCrc32[5][(lo >> 16) & 0xffu] ^ kCrc32[4][lo >> 24] ^
+              kCrc32[3][hi & 0xffu] ^ kCrc32[2][(hi >> 8) & 0xffu] ^
+              kCrc32[1][(hi >> 16) & 0xffu] ^ kCrc32[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n) {
+        crc = (crc >> 8) ^ kCrc32[0][(crc ^ *p) & 0xffu];
     }
     state_ = crc;
 }

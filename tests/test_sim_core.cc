@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -123,6 +124,101 @@ TEST(Simulator, EventsCanScheduleEvents)
     EXPECT_EQ(depth, 100);
     EXPECT_EQ(sim.now(), 100);
     EXPECT_EQ(sim.eventsProcessed(), 100u);
+}
+
+TEST(Simulator, StaleHandleDoesNotCancelSlotReuser)
+{
+    Simulator sim;
+    EventId a = sim.schedule(1, [] {});
+    sim.run();
+    // A's slot is free again, so B lands in it under a new generation.
+    bool ranB = false;
+    EventId b = sim.schedule(1, [&] { ranB = true; });
+    EXPECT_NE(a, b);
+    EXPECT_EQ(a & 0xffffffffu, b & 0xffffffffu);
+    sim.cancel(a);
+    EXPECT_EQ(sim.livePendingEvents(), 1u);
+    sim.run();
+    EXPECT_TRUE(ranB);
+}
+
+TEST(Simulator, HandlesAreNeverZero)
+{
+    Simulator sim;
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_NE(sim.schedule(i, [] {}), 0u);
+    }
+    sim.run();
+    EXPECT_NE(sim.schedule(0, [] {}), 0u);
+}
+
+TEST(Simulator, CancelDestroysCapturesAtOnce)
+{
+    Simulator sim;
+    auto token = std::make_shared<int>(7);
+    EventId id = sim.schedule(10, [token] { (void)token; });
+    EXPECT_EQ(token.use_count(), 2);
+    sim.cancel(id);
+    EXPECT_EQ(token.use_count(), 1);
+    sim.run();
+    EXPECT_EQ(sim.eventsProcessed(), 0u);
+}
+
+TEST(Simulator, PendingCountsTombstonesLiveDoesNot)
+{
+    Simulator sim;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 6; ++i) {
+        ids.push_back(sim.schedule(10 + i, [] {}));
+    }
+    sim.cancel(ids[1]);
+    sim.cancel(ids[4]);
+    EXPECT_EQ(sim.pendingEvents(), 6u);
+    EXPECT_EQ(sim.livePendingEvents(), 4u);
+    EXPECT_FALSE(sim.allDone());
+    sim.run();
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(sim.livePendingEvents(), 0u);
+    EXPECT_EQ(sim.eventsProcessed(), 4u);
+    EXPECT_TRUE(sim.allDone());
+}
+
+/** Many same-instant ties, cancellations and re-entrant schedules. */
+std::vector<int>
+tieHeavyOrder(SchedulePolicy *policy)
+{
+    Simulator sim;
+    sim.setPolicy(policy);
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 40; ++i) {
+        ids.push_back(sim.schedule(i % 3, [&sim, &order, i] {
+            order.push_back(i);
+            if (i % 5 == 0) {
+                sim.schedule(0, [&order, i] { order.push_back(100 + i); });
+            }
+        }));
+    }
+    for (size_t i = 0; i < ids.size(); i += 7) {
+        sim.cancel(ids[i]);
+    }
+    sim.run();
+    return order;
+}
+
+TEST(Simulator, NoPolicyOrderEqualsAlwaysFirstChoice)
+{
+    RecordReplayPolicy firstChoice;
+    std::vector<int> plain = tieHeavyOrder(nullptr);
+    std::vector<int> replayed = tieHeavyOrder(&firstChoice);
+    EXPECT_EQ(plain, replayed);
+    // 34 survivors of the cancels plus 6 same-instant follow-ups.
+    EXPECT_EQ(plain.size(), 40u);
+    // The policy was consulted, and always took insertion order.
+    ASSERT_GT(firstChoice.recorded().size(), 0u);
+    for (uint32_t c : firstChoice.recorded()) {
+        EXPECT_EQ(c, 0u);
+    }
 }
 
 // ----------------------------------------------------------------------

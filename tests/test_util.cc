@@ -53,6 +53,52 @@ TEST(Crc32, IncrementalEqualsOneShot)
     EXPECT_EQ(inc.value(), crc32Ieee(data));
 }
 
+/** Bit-at-a-time reflected IEEE CRC-32: the reference for the tables. */
+uint32_t
+bitwiseCrc32(const uint8_t *p, size_t n)
+{
+    uint32_t crc = 0xffffffffu;
+    for (size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int bit = 0; bit < 8; ++bit) {
+            crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+        }
+    }
+    return ~crc;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    std::vector<uint8_t> buf(64 + 8);
+    for (size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<uint8_t>(mix64(i));
+    }
+    for (size_t off = 0; off < 8; ++off) {
+        for (size_t len = 0; len <= 64; ++len) {
+            std::span<const uint8_t> data(buf.data() + off, len);
+            EXPECT_EQ(crc32Ieee(data), bitwiseCrc32(data.data(), len))
+                << "offset " << off << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, UpdateSplitAtEveryPointEqualsOneShot)
+{
+    std::vector<uint8_t> data(100);
+    for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(mix64(i + 1000));
+    }
+    uint32_t want = bitwiseCrc32(data.data(), data.size());
+    ASSERT_EQ(crc32Ieee(data), want);
+    for (size_t cut = 0; cut <= data.size(); ++cut) {
+        Crc32 c;
+        c.update(std::span<const uint8_t>(data.data(), cut));
+        c.update(std::span<const uint8_t>(data.data() + cut,
+                                          data.size() - cut));
+        EXPECT_EQ(c.value(), want) << "split at " << cut;
+    }
+}
+
 TEST(Crc32, ResetRestartsState)
 {
     Crc32 c;

@@ -657,7 +657,6 @@ scanRange(FnCtx &ctx, size_t lo, size_t hi, bool rangeFor,
     const Toks &toks = *ctx.toks;
     DeclShape decl = declShapeIn(toks, lo, hi, rangeFor);
     bool declBorrows = false;
-    bool declIsVec = false;
     std::string declVar;
     if (decl.nameIdx != std::string::npos) {
         declVar = toks[decl.nameIdx].text;
@@ -678,12 +677,9 @@ scanRange(FnCtx &ctx, size_t lo, size_t hi, bool rangeFor,
                         awaited = true;
                     }
                 }
-                if (awaited) {
-                    declIsVec = true;
-                    if (emit == nullptr) {
-                        ctx.vecBinds.push_back(
-                            VecBind{declVar, toks[i].line, toks[i].text});
-                    }
+                if (awaited && emit == nullptr) {
+                    ctx.vecBinds.push_back(
+                        VecBind{declVar, toks[i].line, toks[i].text});
                 }
             }
         }
