@@ -18,6 +18,7 @@
  * transfer and procedure execution) at a small N; DX keeps utilization
  * low and throughput scaling well past HY's knee.
  */
+#include <chrono>
 #include <cstdio>
 #include <memory>
 
@@ -39,6 +40,8 @@ struct ClusterRun
     double opsPerSec = 0;
     double serverUtil = 0;
     double meanLatencyMs = 0;
+    /** Scheduler events executed in the measured window, per op. */
+    double eventsPerOp = 0;
 };
 
 /** Closed-loop client: draws ops from the Table 1a mix. */
@@ -153,6 +156,7 @@ runScheme(size_t clients, bool useDx)
 
     serverNode.cpu().resetAccounting();
     sim::Time start = sim.now();
+    uint64_t eventsAtStart = sim.eventsProcessed();
     sim::Time stopAt = start + kWindow;
 
     std::vector<sim::Task<void>> loops;
@@ -197,6 +201,10 @@ runScheme(size_t clients, bool useDx)
                    static_cast<double>(kWindow);
     r.meanLatencyMs =
         total ? sim::toMsec(latSum / static_cast<sim::Duration>(total)) : 0;
+    r.eventsPerOp =
+        total ? static_cast<double>(sim.eventsProcessed() - eventsAtStart) /
+                    static_cast<double>(total)
+              : 0;
     return r;
 }
 
@@ -206,6 +214,7 @@ int
 main()
 {
     bench::banner("Ablation A3: server load vs. number of clients");
+    auto wallStart = std::chrono::steady_clock::now();
 
     util::TextTable table({"Clients", "HY ops/s", "HY util", "HY lat (ms)",
                            "DX ops/s", "DX util", "DX lat (ms)",
@@ -234,9 +243,13 @@ main()
         report.metric(key + ".hy.ops_per_sec", hy.opsPerSec, "ops/s");
         report.metric(key + ".hy.server_util", hy.serverUtil, "frac");
         report.metric(key + ".hy.mean_latency_ms", hy.meanLatencyMs, "ms");
+        report.metric(key + ".hy.sim.events_per_op", hy.eventsPerOp,
+                      "events");
         report.metric(key + ".dx.ops_per_sec", dx.opsPerSec, "ops/s");
         report.metric(key + ".dx.server_util", dx.serverUtil, "frac");
         report.metric(key + ".dx.mean_latency_ms", dx.meanLatencyMs, "ms");
+        report.metric(key + ".dx.sim.events_per_op", dx.eventsPerOp,
+                      "events");
     }
     std::printf("%s\n", table.render().c_str());
 
@@ -249,6 +262,13 @@ main()
     report.metric("hy_saturation_knee_clients", hyKnee, "clients");
     report.metric("dx_over_hy_throughput_at_16", dxAt16 / hyAt16, "x");
     report.check("dx_gt_1.5x_hy_at_16", dxAt16 > 1.5 * hyAt16);
+    // Host wall-clock time for the whole sweep: the simulator-speed
+    // figure the deterministic rows above cannot show.
+    double wallMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - wallStart)
+                        .count();
+    std::printf("  wall-clock: %.0f ms\n", wallMs);
+    report.metric("wall_ms", wallMs, "ms");
     report.write();
     return 0;
 }

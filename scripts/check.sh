@@ -226,6 +226,9 @@ if [[ "${DO_BENCH}" == 1 ]]; then
     # The engine microbenchmarks are wall-clock rates too: the same wide,
     # higher-is-better berth. Their deterministic counts (churn
     # tombstones, events per remote write) stay at the default tolerance.
+    # The scaling sweep's wall_ms is host wall-clock time for the whole
+    # sweep: the same wide berth, lower-is-better. Its per-row
+    # sim.events_per_op counts are exact and stay at the default.
     # The fault-ablation rows under loss measure recovery tails, which
     # swing with any retransmit-timing change: their latencies are
     # lower-is-better (an earlier repair is a win, not a regression)
@@ -282,6 +285,8 @@ if [[ "${DO_BENCH}" == 1 ]]; then
         --dir-metric marshal.ops_per_sec=up \
         --dir-metric pcg.draws_per_sec=up \
         --dir-metric remote_write.ops_per_sec=up \
+        --tol-metric wall_ms=90 \
+        --dir-metric wall_ms=down \
         --dir-metric write_x4.latency_speedup=up \
         --dir-metric write_x8.latency_speedup=up \
         --dir-metric write_x16.latency_speedup=up \
