@@ -13,12 +13,21 @@
  *  - Each cell consumes one credit; the receiver returns credits as it
  *    drains its bounded FIFO, and the credit signal takes a propagation
  *    delay to travel back.
+ *
+ * Both are computed, not stepped. A returned credit is *booked* at its
+ * arrival instant and absorbed by the next pump() at or after it; only
+ * a link stalled on credit schedules a wake, at the earliest booked
+ * instant. A cell holding a credit is *committed* at once: its start is
+ * max(ready, wire free, now) and only its delivery is scheduled. The
+ * start and delivery instants equal those of a link stepped one event
+ * per credit and per wire-free instant.
  */
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 
 #include "net/cell.h"
 #include "obs/metrics.h"
@@ -83,10 +92,18 @@ class Link
     void connect(CellSink &sink);
 
     /**
-     * Queue one cell for transmission. Never drops; the cell waits for
-     * wire availability and receiver credit.
+     * Queue one cell for transmission now. Never drops; the cell waits
+     * for wire availability and receiver credit.
      */
-    void send(const Cell &cell);
+    void send(const Cell &cell) { sendAt(cell, sim_.now()); }
+
+    /**
+     * Queue one cell that becomes ready to transmit at @p readyAt
+     * (>= now; the switch hands a cell over on arrival, ready once it
+     * has crossed the fabric). Cells must be handed over in readyAt
+     * order.
+     */
+    void sendAt(const Cell &cell, sim::Time readyAt);
 
     /**
      * Return @p n credits from the receiver side (it drained cells from
@@ -101,14 +118,20 @@ class Link
     /** One-way propagation delay. */
     sim::Duration propagation() const { return params_.propagation; }
 
-    /** Cells transmitted since construction. */
+    /**
+     * Cells committed to the wire since construction, counting those
+     * whose transmission has not started yet.
+     */
     uint64_t cellsSent() const { return cellsSent_.value(); }
 
     /** Largest sender-side queue depth observed. */
     size_t maxQueueDepth() const { return maxQueue_; }
 
-    /** Cells currently waiting for wire or credit. */
-    size_t queueDepth() const { return queue_.size(); }
+    /**
+     * Cells currently waiting for wire or credit: ready, and either
+     * uncommitted or committed with a start still in the future.
+     */
+    size_t queueDepth() const;
 
     /**
      * Register cell/queue metrics under "<prefix>.cells_sent" etc.
@@ -131,8 +154,31 @@ class Link
     const std::string &name() const { return name_; }
 
   private:
-    /** Transmit queued cells while wire and credit allow. */
+    /** A cell waiting for credit. */
+    struct Queued
+    {
+        Cell cell;
+        sim::Time readyAt;
+    };
+
+    /** Ready and start instants of a committed cell. */
+    struct Committed
+    {
+        sim::Time readyAt;
+        sim::Time start;
+    };
+
+    /** Absorb arrived credits, then commit queued cells while they last. */
     void pump();
+
+    /** Fix @p cell's wire slot and schedule its delivery. */
+    void commit(Cell cell, sim::Time readyAt);
+
+    /** Book @p n credits arriving at @p at. */
+    void bookCredit(sim::Time at, size_t n);
+
+    /** A stalled link wakes at the earliest booked credit. */
+    void armCreditWake();
 
     sim::Simulator &sim_;
     LinkParams params_;
@@ -140,10 +186,17 @@ class Link
     CellSink *sink_ = nullptr;
     FaultInjector *faults_ = nullptr;
     sim::Duration cellTime_;
-    std::deque<Cell> queue_;
+    /** Cells without credit, in arrival order. */
+    std::deque<Queued> queue_;
+    /** Committed cells that may still be waiting for the wire. */
+    std::deque<Committed> committed_;
+    /** Credits on their way back: (arrival instant, count), sorted. */
+    std::deque<std::pair<sim::Time, size_t>> booked_;
     size_t credits_;
     sim::Time wireFreeAt_ = 0;
-    bool pumpScheduled_ = false;
+    /** Pending credit wake (0 when none) and its instant. */
+    sim::EventId wake_ = 0;
+    sim::Time wakeAt_ = 0;
     sim::Counter cellsSent_;
     size_t maxQueue_ = 0;
 };

@@ -16,7 +16,6 @@ Switch::addPort(Link &outputLink)
     auto port = std::make_unique<PortState>();
     port->output = &outputLink;
     port->input.parent = this;
-    port->input.port = port.get();
     ports_.push_back(std::move(port));
     return ports_.size() - 1;
 }
@@ -43,13 +42,12 @@ Switch::InSink::acceptCell(const Cell &cell)
     if (upstream_ != nullptr) {
         upstream_->returnCredit();
     }
-    parent->forward(cell, *port);
+    parent->forward(cell);
 }
 
 void
-Switch::forward(const Cell &cell, PortState &from)
+Switch::forward(const Cell &cell)
 {
-    (void)from;
     auto it = routes_.find(cell.vpi);
     if (it == routes_.end()) {
         routeMisses_.inc();
@@ -64,7 +62,7 @@ Switch::forward(const Cell &cell, PortState &from)
             "dst=" + std::to_string(cell.vpi) +
                 " src=" + std::to_string(cell.vci));
     }
-    sim_.schedule(fabricLatency_, [out, cell] { out->send(cell); });
+    out->sendAt(cell, sim_.now() + fabricLatency_);
 }
 
 void

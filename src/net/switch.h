@@ -13,7 +13,9 @@
  *    table populated by the Network builder.
  *  - Forwarding costs a fixed fabric latency, then the cell joins the
  *    output link's queue (output queuing; the link provides per-output
- *    serialization and downstream credit).
+ *    serialization and downstream credit). The cell is handed to the
+ *    output link on arrival, ready one fabric latency later
+ *    (Link::sendAt), so the fabric crossing costs no event of its own.
  *  - Input ports return upstream credit as soon as a cell is forwarded
  *    into the fabric, so input never blocks (buffering concentrates at
  *    outputs, observable via Link::maxQueueDepth()).
@@ -71,16 +73,12 @@ class Switch
                        const std::string &prefix) const;
 
   private:
-    /** One attachment point. */
-    struct PortState;
-
     /** Look up the route and enqueue on the output link. */
-    void forward(const Cell &cell, PortState &from);
+    void forward(const Cell &cell);
 
     struct InSink : CellSink
     {
         Switch *parent = nullptr;
-        PortState *port = nullptr;
         void acceptCell(const Cell &cell) override;
     };
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include "sim/cpu.h"
-#include "sim/task.h"
 #include "sim/time.h"
 
 namespace remora::rpc {
@@ -43,14 +42,14 @@ class LocalRpc
      * Cross into the callee's domain. Await before running the callee's
      * body; pair with returnToCaller() after it.
      */
-    sim::Task<void>
+    sim::CpuResource::Use
     enterCallee()
     {
         return cpu_.use(costs_.callPath, sim::CpuCategory::kProcInvoke);
     }
 
     /** Cross back into the caller's domain. */
-    sim::Task<void>
+    sim::CpuResource::Use
     returnToCaller()
     {
         return cpu_.use(costs_.returnPath, sim::CpuCategory::kProcInvoke);

@@ -44,12 +44,16 @@ CpuResource::post(Duration cost, CpuCategory cat, Simulator::Callback fn)
     }
 }
 
-Task<void>
-CpuResource::use(Duration cost, CpuCategory cat)
+void
+CpuResource::Use::await_suspend(std::coroutine_handle<> h) const
 {
-    Promise<void> done(sim_);
-    post(cost, cat, [done]() mutable { done.set(); });
-    co_await done.future();
+    // Two hops, as a Promise would take: the completion event queues the
+    // resumption at the same instant. Resuming straight from the
+    // completion would run the coroutine ahead of events queued for that
+    // instant while the work ran, which reorders same-instant ties
+    // downstream and moves simulated results.
+    Simulator *sim = &cpu_.sim_;
+    cpu_.post(cost_, cat_, [sim, h] { sim->schedule(0, [h] { h.resume(); }); });
 }
 
 Duration

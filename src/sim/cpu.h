@@ -11,13 +11,11 @@
  */
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "sim/time.h"
 
 namespace remora::sim {
@@ -69,10 +67,37 @@ class CpuResource
     void post(Duration cost, CpuCategory cat, Simulator::Callback fn = {});
 
     /**
-     * Coroutine flavour of post(): `co_await cpu.use(cost, cat)` resumes
-     * once the CPU time has been consumed.
+     * Awaitable returned by use(). Awaiting it posts the work; its
+     * completion queues the coroutine's resumption at the same instant,
+     * behind whatever is already queued there — the order the
+     * completion-then-wakeup of a Promise gives, which the simulated
+     * results depend on. No frame or one-shot state is allocated, and
+     * since a wakeup is always queued the wait is never a blocked task.
      */
-    Task<void> use(Duration cost, CpuCategory cat);
+    class [[nodiscard]] Use
+    {
+      public:
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h) const;
+        void await_resume() const noexcept {}
+
+      private:
+        friend class CpuResource;
+        Use(CpuResource &cpu, Duration cost, CpuCategory cat)
+            : cpu_(cpu), cost_(cost), cat_(cat)
+        {}
+
+        CpuResource &cpu_;
+        Duration cost_;
+        CpuCategory cat_;
+    };
+
+    /**
+     * Coroutine flavour of post(): `co_await cpu.use(cost, cat)` resumes
+     * once the CPU time has been consumed. The work is posted when the
+     * result is awaited.
+     */
+    Use use(Duration cost, CpuCategory cat) { return Use(*this, cost, cat); }
 
     /** Simulated instant at which currently queued work completes. */
     Time busyUntil() const { return busyUntil_; }

@@ -7,6 +7,7 @@
 
 #include "net/aal5.h"
 #include "net/cell.h"
+#include "net/fault.h"
 #include "net/host_interface.h"
 #include "net/link.h"
 #include "net/network.h"
@@ -280,6 +281,106 @@ TEST(Link, OrderPreservedAcrossCreditStalls)
     }
 }
 
+TEST(Link, CreditStarvedLinkDeliversAtCreditReturn)
+{
+    // One credit; the sink drains each cell a fixed 5 us after it lands.
+    // The second cell cannot start until that credit has crossed back:
+    // arrival0 = ct + prop, credit back at arrival0 + 5 us + prop, and
+    // the second cell lands one ct + prop after that.
+    struct DelayedDrainSink : CellSink
+    {
+        sim::Simulator *sim = nullptr;
+        std::vector<sim::Time> arrived;
+        void
+        acceptCell(const Cell &) override
+        {
+            arrived.push_back(sim->now());
+            Link *up = upstream_;
+            sim->schedule(sim::usec(5), [up] { up->returnCredit(); });
+        }
+    };
+    sim::Simulator sim;
+    LinkParams p;
+    p.credits = 1;
+    p.propagation = sim::usec(1);
+    Link link(sim, p, "test");
+    DelayedDrainSink sink;
+    sink.sim = &sim;
+    link.connect(sink);
+
+    Cell c;
+    link.send(c);
+    link.send(c);
+    sim.run();
+    sim::Duration ct = link.cellTime();
+    ASSERT_EQ(sink.arrived.size(), 2u);
+    EXPECT_EQ(sink.arrived[0], ct + sim::usec(1));
+    EXPECT_EQ(sink.arrived[1], 2 * ct + 3 * sim::usec(1) + sim::usec(5));
+}
+
+TEST(Link, DroppedCellCreditReturnsFromItsStart)
+{
+    // A cell committed behind a busy wire and dropped in flight gets
+    // its credit back one propagation after it *starts*, not after it
+    // was committed. A long propagation makes the two instants differ
+    // by a whole cell time at the next cell's start.
+    sim::Simulator sim;
+    LinkParams p;
+    p.credits = 2;
+    p.propagation = sim::usec(10);
+    Link link(sim, p, "test");
+    CollectSink sink;
+    sink.sim = &sim;
+    sink.autoCredit = false;
+    link.connect(sink);
+    sim::Duration ct = link.cellTime();
+    ASSERT_GT(p.propagation, ct);
+
+    FaultPlan plan;
+    plan.dropRate = 1.0;
+    FaultInjector dropAll(sim, plan, "test");
+
+    Cell c;
+    c.vci = 1;
+    link.send(c); // starts at 0, delivered
+    link.setFaultInjector(&dropAll);
+    c.vci = 2;
+    link.send(c); // starts at ct behind the first, dropped
+    link.setFaultInjector(nullptr);
+    c.vci = 3;
+    link.send(c); // stalls on credit until the drop's credit is back
+    sim.run();
+
+    EXPECT_EQ(dropAll.drops(), 1u);
+    ASSERT_EQ(sink.arrived.size(), 2u);
+    EXPECT_EQ(sink.arrived[0].first, ct + p.propagation);
+    // Credit back at ct + prop; the third cell starts then.
+    EXPECT_EQ(sink.arrived[1].second.vci, 3);
+    EXPECT_EQ(sink.arrived[1].first, (ct + p.propagation) + ct + p.propagation);
+}
+
+TEST(Link, QueueDepthCountsCellsWaitingForTheWire)
+{
+    // Back to back on an idle link: the first cell goes straight onto
+    // the wire, the other two wait for it.
+    sim::Simulator sim;
+    Link link(sim, LinkParams{}, "test");
+    CollectSink sink;
+    sink.sim = &sim;
+    link.connect(sink);
+
+    Cell c;
+    for (int i = 0; i < 3; ++i) {
+        link.send(c);
+    }
+    EXPECT_EQ(link.queueDepth(), 2u);
+    EXPECT_EQ(link.maxQueueDepth(), 2u);
+    sim.run();
+    EXPECT_EQ(link.queueDepth(), 0u);
+    EXPECT_EQ(link.maxQueueDepth(), 2u);
+    EXPECT_EQ(sink.arrived.size(), 3u);
+}
+
 // ----------------------------------------------------------------------
 // HostInterface
 // ----------------------------------------------------------------------
@@ -358,6 +459,48 @@ TEST(HostInterface, TxPassesThroughToLink)
 // ----------------------------------------------------------------------
 // Switch + Network
 // ----------------------------------------------------------------------
+
+TEST(Switch, CutThroughKeepsArrivalOrderAndFabricLatency)
+{
+    // Two input ports receive a cell at the same instant, port 1 first.
+    // Both leave on one output in arrival order; the first, on an idle
+    // output, lands fabric latency + cell time + propagation after it
+    // reached the switch, the second one cell time later.
+    sim::Simulator sim;
+    LinkParams lp;
+    Link out0(sim, lp, "sw->a"), out1(sim, lp, "sw->b"), out2(sim, lp, "sw->c");
+    CollectSink a, b, dst;
+    a.sim = b.sim = dst.sim = &sim;
+    out0.connect(a);
+    out1.connect(b);
+    out2.connect(dst);
+    const sim::Duration fabric = sim::usec(2);
+    Switch sw(sim, fabric, "sw");
+    sw.addPort(out0);
+    sw.addPort(out1);
+    sw.route(3, sw.addPort(out2));
+
+    const sim::Time t = sim::usec(7);
+    sim.scheduleAt(t, [&sw] {
+        Cell cell;
+        cell.vpi = 3;
+        cell.vci = 2;
+        sw.inputSink(1).acceptCell(cell);
+        cell.vci = 1;
+        sw.inputSink(0).acceptCell(cell);
+    });
+    sim.run();
+
+    ASSERT_EQ(dst.arrived.size(), 2u);
+    EXPECT_EQ(dst.arrived[0].second.vci, 2);
+    EXPECT_EQ(dst.arrived[1].second.vci, 1);
+    EXPECT_EQ(dst.arrived[0].first,
+              t + fabric + out2.cellTime() + lp.propagation);
+    EXPECT_EQ(dst.arrived[1].first - dst.arrived[0].first, out2.cellTime());
+    EXPECT_EQ(sw.cellsForwarded(), 2u);
+    EXPECT_TRUE(a.arrived.empty());
+    EXPECT_TRUE(b.arrived.empty());
+}
 
 TEST(Network, SwitchedClusterRoutesByDestination)
 {

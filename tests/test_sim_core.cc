@@ -7,6 +7,8 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -465,6 +467,75 @@ TEST(Cpu, CoroutineUseAwaitsCompletion)
     sim.run();
     ASSERT_TRUE(t.done());
     EXPECT_EQ(t.result(), usec(25));
+}
+
+TEST(Cpu, UseResumesBehindEventsQueuedForItsCompletionInstant)
+{
+    // The work is posted at 0 and completes at 10 us. An event queued
+    // for 10 us while the work runs must still run before the awaiting
+    // coroutine resumes: the completion queues the resumption behind
+    // it, as a Promise wakeup would.
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    std::vector<std::string> order;
+    auto t = [](CpuResource *c, std::vector<std::string> *log) -> Task<void> {
+        co_await c->use(usec(10), CpuCategory::kOther);
+        log->push_back("resumed");
+    }(&cpu, &order);
+    sim.scheduleAt(usec(10), [&order] { order.push_back("event"); });
+    sim.run();
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(order, (std::vector<std::string>{"event", "resumed"}));
+}
+
+TEST(Cpu, PendingUseIsNotABlockedTask)
+{
+    // A CPU wait always has its wakeup queued, so it never counts as
+    // blocked; a Future wait with no producer still does.
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    auto cpuWait = [](CpuResource *c) -> Task<void> {
+        co_await c->use(usec(10), CpuCategory::kOther);
+    }(&cpu);
+    EXPECT_EQ(sim.blockedTaskCount(), 0u);
+
+    Promise<void> never(sim);
+    auto futureWait = [](Future<void> f) -> Task<void> {
+        co_await f;
+    }(never.future());
+    EXPECT_EQ(sim.blockedTaskCount(), 1u);
+
+    sim.run();
+    EXPECT_TRUE(cpuWait.done());
+    EXPECT_FALSE(futureWait.done());
+    EXPECT_EQ(sim.blockedTaskCount(), 1u);
+
+    never.set();
+    sim.run();
+    EXPECT_TRUE(futureWait.done());
+    EXPECT_EQ(sim.blockedTaskCount(), 0u);
+}
+
+TEST(Cpu, CoroutineUsersResumeFcfsWithExactAccounting)
+{
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    std::vector<std::pair<int, Time>> resumed;
+    auto user = [](CpuResource *c, int id, Duration cost, CpuCategory cat,
+                   std::vector<std::pair<int, Time>> *log) -> Task<void> {
+        co_await c->use(cost, cat);
+        log->emplace_back(id, c->simulator().now());
+    };
+    auto a = user(&cpu, 0, usec(10), CpuCategory::kDataReceive, &resumed);
+    auto b = user(&cpu, 1, usec(5), CpuCategory::kProcExec, &resumed);
+    sim.run();
+    ASSERT_TRUE(a.done() && b.done());
+    ASSERT_EQ(resumed.size(), 2u);
+    EXPECT_EQ(resumed[0], std::make_pair(0, usec(10)));
+    EXPECT_EQ(resumed[1], std::make_pair(1, usec(15)));
+    EXPECT_EQ(cpu.busyIn(CpuCategory::kDataReceive), usec(10));
+    EXPECT_EQ(cpu.busyIn(CpuCategory::kProcExec), usec(5));
+    EXPECT_EQ(cpu.totalBusy(), usec(15));
 }
 
 TEST(Cpu, UtilizationOverWindow)
