@@ -80,6 +80,9 @@ main()
     report.check("dx_cache_misses_zero", h.dx.misses() == 0);
     report.note("100% server cache hit rate; client<->clerk local RPC "
                 "excluded; warm-cache NFS service times on the HY path");
+    report.metric("sim.events",
+                  static_cast<double>(h.cluster.sim.eventsProcessed()),
+                  "events");
     report.write();
     return h.dx.misses() == 0 ? 0 : 1;
 }

@@ -161,6 +161,9 @@ main()
     report.check("dx_less_than_half_hy_load", (avgDx / avgHy) < 0.5);
     report.note("per-op server CPU split into the paper's four "
                 "components; average weighted by the Table 1a mix");
+    report.metric("sim.events",
+                  static_cast<double>(h.cluster.sim.eventsProcessed()),
+                  "events");
     report.write();
     return 0;
 }

@@ -327,6 +327,10 @@ main()
                           em.read.totalUs.mean()) < 0.5);
     report.note("two directly-connected nodes, idle cluster, 40-byte "
                 "single-cell operations, 4KB streaming block writes");
+    report.metric("sim.events",
+                  static_cast<double>(h.cluster.sim.eventsProcessed() +
+                                      traced.cluster.sim.eventsProcessed()),
+                  "events");
     report.write();
     return 0;
 }

@@ -153,6 +153,9 @@ main()
     report.check("uncached_slower_than_cached", delta > 0);
     report.check("notify_lookup_slowest_lookup",
                  r.notifyLookupUs > r.importUncachedUs);
+    report.metric("sim.events",
+                  static_cast<double>(h.cluster.sim.eventsProcessed()),
+                  "events");
     report.write();
     return 0;
 }
