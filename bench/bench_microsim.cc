@@ -76,8 +76,11 @@ eventQueueRate()
 
 /**
  * Timeout-guard churn: every event arms a guard far in the future and
- * cancels the previous one, so the heap fills with tombstones behind a
- * small live set — the shape of the rmem/rpc timeout paths.
+ * cancels the previous one, so tombstones pile up behind a small live
+ * set — the shape of the rmem/rpc timeout paths — until the simulator
+ * compacts them away (once they exceed its floor of 64 and outnumber
+ * the live entries). churn.tombstones is the count left uncompacted at
+ * 200 us.
  */
 double
 churnRate(size_t *tombstones)

@@ -47,13 +47,15 @@ CpuResource::post(Duration cost, CpuCategory cat, Simulator::Callback fn)
 void
 CpuResource::Use::await_suspend(std::coroutine_handle<> h) const
 {
-    // Two hops, as a Promise would take: the completion event queues the
-    // resumption at the same instant. Resuming straight from the
-    // completion would run the coroutine ahead of events queued for that
-    // instant while the work ran, which reorders same-instant ties
-    // downstream and moves simulated results.
+    // Two hops, as a Promise would take: the completion event resumes
+    // the coroutine as a new event at the same instant, behind events
+    // queued for that instant while the work ran. Resuming inside the
+    // completion itself would run ahead of them, which reorders
+    // same-instant ties downstream and moves simulated results.
+    // resumeNow() skips the heap round-trip only when nothing is
+    // queued ahead, so the order is the same either way.
     Simulator *sim = &cpu_.sim_;
-    cpu_.post(cost_, cat_, [sim, h] { sim->schedule(0, [h] { h.resume(); }); });
+    cpu_.post(cost_, cat_, [sim, h] { sim->resumeNow(h); });
 }
 
 Duration

@@ -68,11 +68,13 @@ class CpuResource
 
     /**
      * Awaitable returned by use(). Awaiting it posts the work; its
-     * completion queues the coroutine's resumption at the same instant,
-     * behind whatever is already queued there — the order the
+     * completion resumes the coroutine as a new event at the same
+     * instant, behind whatever is already queued there — the order the
      * completion-then-wakeup of a Promise gives, which the simulated
-     * results depend on. No frame or one-shot state is allocated, and
-     * since a wakeup is always queued the wait is never a blocked task.
+     * results depend on (Simulator::resumeNow runs it in place when
+     * nothing is queued ahead). No frame or one-shot state is
+     * allocated, and since a wakeup is always pending the wait is never
+     * a blocked task.
      */
     class [[nodiscard]] Use
     {

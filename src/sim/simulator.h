@@ -36,10 +36,10 @@
  */
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string_view>
 #include <vector>
 
@@ -253,6 +253,26 @@ class Simulator
     bool step();
 
     /**
+     * Resume @p h as a new event at the current instant. The CPU wait's
+     * completion calls this as its last action.
+     *
+     * Inside run(), when no live event is ready at now(), the step
+     * budget is not reached and no deadlock halt applies, the event
+     * that schedule(0) would queue is necessarily the next one to run.
+     * It then runs in place: it takes the next sequence number, folds
+     * the same schedule and execute records and counts as one executed
+     * event, so the digest, eventsProcessed() and run()'s count equal
+     * those of the queued path. Otherwise, and always under a bare
+     * step(), which must run exactly one event, it is queued with
+     * schedule(0).
+     */
+    void resumeNow(std::coroutine_handle<> h);
+
+    /** resumeNow() calls that ran in place (diagnostic; they are
+     *  counted in eventsProcessed() like any other event). */
+    uint64_t resumedInPlace() const { return resumedInPlace_; }
+
+    /**
      * Run events until the queue drains, simulated time would exceed
      * @p limit, the step budget runs out, or a detected deadlock halts
      * execution.
@@ -267,8 +287,14 @@ class Simulator
     /** Total events executed over the simulator's lifetime. */
     uint64_t eventsProcessed() const { return processed_; }
 
-    /** Number of events currently pending (including cancelled ones). */
-    size_t pendingEvents() const { return queue_.size(); }
+    /**
+     * Entries in the event heap: live events plus cancelled ones whose
+     * tombstones have not been compacted away yet. Once tombstones
+     * exceed a floor of 64 and outnumber the live entries, cancel()
+     * drops them all, so right after any cancel() this is at most
+     * 2 * livePendingEvents() + 64.
+     */
+    size_t pendingEvents() const { return heap_.size(); }
 
     /** Pending events that are still live (not cancelled). */
     size_t livePendingEvents() const { return live_; }
@@ -406,7 +432,7 @@ class Simulator
   private:
     /**
      * Heap entry. It is live while slots_[slot].seq == seq; a cancelled
-     * or executed event leaves its entry behind as a tombstone.
+     * event leaves its entry behind as a tombstone.
      */
     struct Entry
     {
@@ -415,9 +441,9 @@ class Simulator
         uint32_t slot;
         // Ordered min-first by (when, seq): insertion order per instant.
         bool
-        operator>(const Entry &o) const
+        before(const Entry &o) const
         {
-            return when != o.when ? when > o.when : seq > o.seq;
+            return when != o.when ? when < o.when : seq < o.seq;
         }
     };
 
@@ -432,6 +458,17 @@ class Simulator
 
     bool isLive(const Entry &e) const { return slots_[e.slot].seq == e.seq; }
 
+    /** 4-ary min-heap over heap_, ordered by Entry::before. */
+    void heapPush(Entry e);
+    Entry heapPop();
+    void siftDown(size_t i, Entry e);
+
+    /** Pop tombstones off the heap top; true if a live event remains. */
+    bool dropDeadTop();
+
+    /** Drop every tombstone and rebuild the heap in O(n). */
+    void compact();
+
     /** Free @p slot, staling its handles; returns its callback. */
     Callback take(uint32_t slot);
 
@@ -442,13 +479,16 @@ class Simulator
     uint64_t nextSeq_ = 1;
     size_t live_ = 0;
     uint64_t processed_ = 0;
+    uint64_t resumedInPlace_ = 0;
     uint64_t perturbSeed_ = 0;
     uint64_t decisions_ = 0;
     uint64_t stepBudgetEnd_ = 0; ///< processed_ ceiling; 0 = unlimited.
+    size_t dead_ = 0; ///< Tombstones in heap_.
     bool budgetHit_ = false;
     bool haltOnDeadlock_ = true;
+    bool inRun_ = false; ///< run() is executing; resumeNow() may go in place.
     DeterminismDigest digest_;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
+    std::vector<Entry> heap_;
     std::vector<Slot> slots_;
     std::vector<uint32_t> freeSlots_;
     SchedulePolicy *policy_ = nullptr;

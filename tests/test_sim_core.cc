@@ -5,13 +5,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/cpu.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -221,6 +226,118 @@ TEST(Simulator, NoPolicyOrderEqualsAlwaysFirstChoice)
     for (uint32_t c : firstChoice.recorded()) {
         EXPECT_EQ(c, 0u);
     }
+}
+
+// ----------------------------------------------------------------------
+// Tombstone compaction
+// ----------------------------------------------------------------------
+
+/** Tombstones the simulator tolerates before it compacts. */
+constexpr size_t kCompactFloor = 64;
+
+TEST(Simulator, RandomScheduleCancelMixMatchesOrderedModel)
+{
+    // Far-future schedules that are mostly cancelled (as rmem timeout
+    // guards are), same-instant follow-ups and cancels from inside
+    // events, checked against a reference model ordered by (when,
+    // insertion). The cancels cross the compaction threshold many
+    // times; the run order must not notice.
+    Simulator sim;
+    Random rng(11);
+    std::set<std::pair<Time, size_t>> model;
+    std::vector<EventId> handles;
+    std::vector<Time> whenOf;
+    std::vector<size_t> ran;
+    std::vector<size_t> expected;
+    size_t compactions = 0;
+
+    auto cancelRandom = [&](int n) {
+        for (int k = 0; k < n; ++k) {
+            // Mostly recent handles, which are likely still pending.
+            auto span = static_cast<uint32_t>(
+                rng.uniformInt(4) == 0 ? handles.size()
+                                       : std::min<size_t>(handles.size(), 64));
+            size_t id = handles.size() - 1 - rng.uniformInt(span);
+            size_t before = sim.pendingEvents();
+            // A handle that already ran or was cancelled is a no-op.
+            sim.cancel(handles[id]);
+            model.erase({whenOf[id], id});
+            if (sim.pendingEvents() < before) {
+                ++compactions;
+            }
+            EXPECT_EQ(sim.livePendingEvents(), model.size());
+            EXPECT_LE(sim.pendingEvents(),
+                      2 * sim.livePendingEvents() + kCompactFloor);
+        }
+    };
+    std::function<void(Duration)> add = [&](Duration delay) {
+        size_t id = handles.size();
+        whenOf.push_back(sim.now() + delay);
+        model.emplace(sim.now() + delay, id);
+        handles.push_back(sim.schedule(delay, [&, id] {
+            ran.push_back(id);
+            ASSERT_FALSE(model.empty());
+            expected.push_back(model.begin()->second);
+            model.erase(model.begin());
+            if (handles.size() < 6000) {
+                if (rng.uniformInt(4) == 0) {
+                    add(0);
+                }
+                if (rng.uniformInt(2) == 0) {
+                    add(1 + rng.uniformInt(5000));
+                }
+                add(1000 + rng.uniformInt(20000));
+            }
+            cancelRandom(1 + static_cast<int>(rng.uniformInt(3)));
+        }));
+    };
+
+    for (int i = 0; i < 400; ++i) {
+        add(1 + rng.uniformInt(10000));
+    }
+    cancelRandom(300);
+    uint64_t count = sim.run();
+
+    EXPECT_EQ(ran, expected);
+    EXPECT_EQ(count, ran.size());
+    EXPECT_EQ(sim.eventsProcessed(), ran.size());
+    EXPECT_TRUE(model.empty());
+    EXPECT_GT(ran.size(), 1000u);
+    EXPECT_GT(compactions, 5u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(Simulator, CompactedTombstoneHandleStaysANoOp)
+{
+    Simulator sim;
+    int ran = 0;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 200; ++i) {
+        ids.push_back(sim.schedule(1000 + i, [&ran] { ++ran; }));
+    }
+    for (int i = 0; i < 150; ++i) {
+        sim.cancel(ids[i]);
+    }
+    // The 101st cancel left 101 tombstones to 99 live entries: one
+    // compaction, then 49 more tombstones.
+    EXPECT_EQ(sim.livePendingEvents(), 50u);
+    EXPECT_EQ(sim.pendingEvents(), 99u);
+
+    // New events take over the freed slots.
+    for (int i = 0; i < 150; ++i) {
+        sim.schedule(500 + i, [&ran] { ++ran; });
+    }
+    uint64_t digest = sim.digest().value();
+    size_t pending = sim.pendingEvents();
+    for (int i = 0; i < 150; ++i) {
+        sim.cancel(ids[i]);
+    }
+    EXPECT_EQ(sim.digest().value(), digest);
+    EXPECT_EQ(sim.pendingEvents(), pending);
+    EXPECT_EQ(sim.livePendingEvents(), 200u);
+    sim.run();
+    EXPECT_EQ(ran, 200);
+    EXPECT_TRUE(sim.allDone());
 }
 
 // ----------------------------------------------------------------------
@@ -486,6 +603,122 @@ TEST(Cpu, UseResumesBehindEventsQueuedForItsCompletionInstant)
     sim.run();
     ASSERT_TRUE(t.done());
     EXPECT_EQ(order, (std::vector<std::string>{"event", "resumed"}));
+}
+
+TEST(Cpu, UseResumesInPlaceWhenNothingElseIsReady)
+{
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    auto t = [](Simulator *s, CpuResource *c) -> Task<Time> {
+        co_await c->use(usec(10), CpuCategory::kOther);
+        co_return s->now();
+    }(&sim, &cpu);
+    EXPECT_EQ(sim.run(), 2u);
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(t.result(), usec(10));
+    // The completion and the resumption both count as events, but the
+    // resumption never went through the heap.
+    EXPECT_EQ(sim.eventsProcessed(), 2u);
+    EXPECT_EQ(sim.resumedInPlace(), 1u);
+}
+
+TEST(Cpu, UseDefersBehindAnEventQueuedForTheSameInstant)
+{
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    std::vector<std::string> order;
+    auto t = [](CpuResource *c, std::vector<std::string> *log) -> Task<void> {
+        co_await c->use(usec(10), CpuCategory::kOther);
+        log->push_back("resumed");
+    }(&cpu, &order);
+    sim.scheduleAt(usec(10), [&order] { order.push_back("event"); });
+    EXPECT_EQ(sim.run(), 3u);
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(order, (std::vector<std::string>{"event", "resumed"}));
+    EXPECT_EQ(sim.resumedInPlace(), 0u);
+}
+
+/** Awaiter that parks its coroutine and hands the handle out. */
+struct ParkHandle
+{
+    std::coroutine_handle<> *out;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const { *out = h; }
+    void await_resume() const noexcept {}
+};
+
+Task<void>
+parkThenLog(std::coroutine_handle<> *out, std::vector<std::string> *log)
+{
+    co_await ParkHandle{out};
+    log->push_back("resumed");
+}
+
+TEST(Simulator, ResumeNowRespectsTheStepBudget)
+{
+    Simulator sim;
+    std::coroutine_handle<> h;
+    std::vector<std::string> order;
+    auto t = parkThenLog(&h, &order);
+    sim.schedule(10, [&sim, &h] { sim.resumeNow(h); });
+    sim.setStepBudget(1);
+    // The budget covers the waking event only, so the resumption is
+    // queued and the next step refuses it.
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_TRUE(sim.budgetExhausted());
+    EXPECT_FALSE(t.done());
+    EXPECT_EQ(sim.livePendingEvents(), 1u);
+    EXPECT_EQ(sim.resumedInPlace(), 0u);
+
+    sim.setStepBudget(0);
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_TRUE(t.done());
+    EXPECT_EQ(order, std::vector<std::string>{"resumed"});
+}
+
+TEST(Simulator, ResumeNowRespectsADeadlockHalt)
+{
+    Simulator sim;
+    std::coroutine_handle<> h;
+    std::vector<std::string> order;
+    auto t = parkThenLog(&h, &order);
+    sim.schedule(10, [&sim, &h] {
+        // A two-party lock cycle appears while this event runs.
+        WaitGraph &g = sim.waitGraph();
+        g.acquired(1, 100, "lock a");
+        g.acquired(2, 200, "lock b");
+        g.waiting(1, 200, "lock b", sim.now());
+        g.waiting(2, 100, "lock a", sim.now());
+        sim.resumeNow(h);
+    });
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_TRUE(sim.deadlockHalted());
+    EXPECT_FALSE(t.done());
+    EXPECT_EQ(sim.livePendingEvents(), 1u);
+    EXPECT_EQ(sim.resumedInPlace(), 0u);
+
+    sim.setHaltOnDeadlock(false);
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_TRUE(t.done());
+}
+
+TEST(Simulator, BareStepNeverResumesInPlace)
+{
+    // step() runs exactly one logical event: the CPU completion, then
+    // the resumption, each on its own step.
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    auto t = [](CpuResource *c) -> Task<void> {
+        co_await c->use(usec(10), CpuCategory::kOther);
+    }(&cpu);
+    EXPECT_TRUE(sim.step());
+    EXPECT_FALSE(t.done());
+    EXPECT_EQ(sim.eventsProcessed(), 1u);
+    EXPECT_TRUE(sim.step());
+    EXPECT_TRUE(t.done());
+    EXPECT_EQ(sim.eventsProcessed(), 2u);
+    EXPECT_FALSE(sim.step());
+    EXPECT_EQ(sim.resumedInPlace(), 0u);
 }
 
 TEST(Cpu, PendingUseIsNotABlockedTask)
