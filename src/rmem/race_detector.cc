@@ -308,11 +308,16 @@ RaceDetector::actorClock(ActorId a)
     return c;
 }
 
-RaceDetector::ScopedActor::ScopedActor(ActorId actor, std::string site)
+RaceDetector::ScopedActor::ScopedActor(ActorId actor, std::string_view site,
+                                       std::optional<uint64_t> node)
     : active_(RaceDetector::on())
 {
     if (active_) {
-        instance().actorStack_.emplace_back(actor, std::move(site));
+        std::string label(site);
+        if (node) {
+            label += std::to_string(*node);
+        }
+        instance().actorStack_.emplace_back(actor, std::move(label));
     }
 }
 

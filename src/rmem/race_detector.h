@@ -47,8 +47,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -269,15 +271,17 @@ class RaceDetector
     void fence();
 
     /**
-     * Attribute accesses inside the scope to @p actor with @p site as
-     * the report label. The engine wraps exporter-side application of
-     * remote requests so they attribute to the *initiating* node.
-     * Cheap no-op when the detector is disarmed.
+     * Attribute accesses inside the scope to @p actor with @p site,
+     * followed by @p node in decimal when given, as the report label.
+     * The engine wraps exporter-side application of remote requests so
+     * they attribute to the *initiating* node. Cheap no-op when the
+     * detector is disarmed: the label is only built when it is armed.
      */
     class ScopedActor
     {
       public:
-        ScopedActor(ActorId actor, std::string site);
+        ScopedActor(ActorId actor, std::string_view site,
+                    std::optional<uint64_t> node = std::nullopt);
         ScopedActor(const ScopedActor &) = delete;
         ScopedActor &operator=(const ScopedActor &) = delete;
         ~ScopedActor();
