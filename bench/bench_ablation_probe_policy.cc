@@ -122,6 +122,8 @@ main()
     report.metric("control_premium_us", ctExtraUs, "us");
     report.metric("crossover_collisions", crossover, "collisions", 7);
     report.check("crossover_in_5_to_9", crossover >= 5 && crossover <= 9);
+    report.metric("sim.events", static_cast<double>(sim.eventsProcessed()),
+                  "events");
     report.write();
     return 0;
 }

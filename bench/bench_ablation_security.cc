@@ -26,6 +26,8 @@ struct Numbers
     double writeUs;
     double readUs;
     double mbps;
+    /** Events the measurement's simulator ran. */
+    uint64_t events;
 };
 
 Numbers
@@ -84,6 +86,7 @@ measure(const rmem::CostModel &costs)
     double secs = static_cast<double>(cluster.nodeB.cpu().busyUntil() - t0) /
                   1e9;
     n.mbps = 100.0 * 4096 * 8 / secs / 1e6;
+    n.events = cluster.sim.eventsProcessed();
     return n;
 }
 
@@ -139,6 +142,9 @@ main()
                  hw.readUs < none.readUs * 1.15);
     report.check("software_inadequate",
                  sw.readUs > none.readUs * 2.0 && sw.mbps < none.mbps / 2);
+    report.metric("sim.events",
+                  static_cast<double>(none.events + hw.events + sw.events),
+                  "events");
     report.write();
     return 0;
 }
