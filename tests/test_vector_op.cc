@@ -457,6 +457,63 @@ TEST(VectorOps, RevokedSegmentFailsPerSubOpNotWholeBatch)
     EXPECT_NE(out.results[1].status, util::ErrorCode::kOk);
 }
 
+TEST(VectorOps, ReadvRevokedMidCopyFailsOnlyTheRevokedSubOp)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Vaddr keepBase = server.space().allocRegion(4096);
+    mem::Vaddr goneBase = server.space().allocRegion(4096);
+    std::vector<uint8_t> content(512, 0x33);
+    ASSERT_TRUE(server.space().write(keepBase, content).ok());
+    ASSERT_TRUE(server.space().write(goneBase, content).ok());
+    auto keep = c.engineB.exportSegment(server, keepBase, 4096,
+                                        rmem::Rights::kAll,
+                                        rmem::NotifyPolicy::kNever, "keep");
+    auto gone = c.engineB.exportSegment(server, goneBase, 4096,
+                                        rmem::Rights::kAll,
+                                        rmem::NotifyPolicy::kNever, "gone");
+    ASSERT_TRUE(keep.ok());
+    ASSERT_TRUE(gone.ok());
+
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    auto local = makeSegment(c.engineA, client, 4096);
+
+    std::vector<rmem::BatchBuilder::Read> ops;
+    rmem::BatchBuilder::Read first;
+    first.src = keep.value();
+    first.dstSeg = local.descriptor;
+    first.dstOff = 0;
+    first.count = 512;
+    ops.push_back(first);
+    rmem::BatchBuilder::Read second = first;
+    second.src = gone.value();
+    second.dstOff = 1024;
+    ops.push_back(second);
+
+    // Both sub-ops pass stage 1; the second one's slot is revoked before
+    // its stage-2 copy runs.
+    auto task = c.engineA.readv(std::move(ops), sim::msec(50));
+    test::runToStageTwo(c.sim, c.engineB);
+    ASSERT_TRUE(c.engineB.revokeSegment(gone.value().descriptor).ok());
+    rmem::VectorOutcome out = runToCompletion(c.sim, task);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    c.sim.run();
+
+    ASSERT_EQ(out.results.size(), 2u);
+    EXPECT_EQ(out.results[0].status, util::ErrorCode::kOk);
+    EXPECT_EQ(out.results[0].data, content);
+    EXPECT_EQ(out.results[1].status, util::ErrorCode::kBadDescriptor);
+    EXPECT_TRUE(out.results[1].data.empty());
+    EXPECT_EQ(c.engineB.stats().naksSent.value(), 0u);
+    auto *desc = c.engineA.descriptor(local.descriptor);
+    ASSERT_NE(desc, nullptr);
+    std::vector<uint8_t> landed(512);
+    ASSERT_TRUE(client.space().read(desc->base, landed).ok());
+    EXPECT_EQ(landed, content);
+    ASSERT_TRUE(client.space().read(desc->base + 1024, landed).ok());
+    EXPECT_EQ(landed, std::vector<uint8_t>(512, 0));
+}
+
 TEST(VectorOps, PureWriteBatchAgainstRevokedSlotNaksOnce)
 {
     TwoNodeCluster c;
