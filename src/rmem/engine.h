@@ -25,12 +25,23 @@
  *    space through its page table;
  *  - notification fires only when the segment's policy combined with
  *    the request's notify bit asks for control transfer.
+ *
+ * Scalar and vectored requests share one path: a scalar READ/WRITE/CAS
+ * is served as a sub-op batch of one through the same executor and
+ * notify decision, and completed through the same pending table and
+ * deposit function. Only the framing differs (stage-1 charge, reply
+ * and notification order, NAK versus per-sub-op status); DESIGN.md §13
+ * "One serve path" lists what stays per framing and why.
  */
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "mem/node.h"
@@ -294,24 +305,6 @@ class RmemEngine
                        const std::string &prefix) const;
 
   private:
-    struct PendingRead
-    {
-        mem::Pid dstPid = 0;
-        mem::Vaddr dstVa = 0;
-        sim::Promise<ReadOutcome> done;
-        sim::EventId timeoutEvent = 0;
-        /** Reader-side notification requested for this chunk. */
-        bool notify = false;
-        /** Local destination segment (its channel gets the notification). */
-        SegmentId dstSeg = 0;
-    };
-    struct PendingCas
-    {
-        mem::Pid resultPid = 0;
-        mem::Vaddr resultVa = 0;
-        sim::Promise<CasOutcome> done;
-        sim::EventId timeoutEvent = 0;
-    };
     /** Resolved local landing spot of one READ/CAS sub-op. */
     struct VectorDeposit
     {
@@ -322,45 +315,98 @@ class RmemEngine
         bool notify = false;
         SegmentId dstSeg = 0;
     };
-    struct PendingVector
+    /**
+     * One outstanding READ, CAS or response-carrying vector, keyed by
+     * ReqId. The promise's type names the framing (read, CAS, vector,
+     * in that index order). A scalar request is a batch of one whose
+     * landing spot is held inline; a vector's are in `many`.
+     */
+    struct Pending
     {
-        std::vector<VectorDeposit> deposits;
-        sim::Promise<VectorOutcome> done;
+        std::variant<sim::Promise<ReadOutcome>, sim::Promise<CasOutcome>,
+                     sim::Promise<VectorOutcome>>
+            done;
+        VectorDeposit one;
+        std::vector<VectorDeposit> many;
         sim::EventId timeoutEvent = 0;
+
+        /** One landing spot per sub-op, in issue order. */
+        std::span<const VectorDeposit> deposits() const
+        {
+            return many.empty() ? std::span<const VectorDeposit>(&one, 1)
+                                : std::span<const VectorDeposit>(many);
+        }
     };
+    using PendingTable = std::unordered_map<ReqId, Pending>;
+    /** A scalar request in service: a batch of one, held inline. */
+    struct ScalarServe;
     /** Shared progress of one served vectored request (engine.cc). */
     struct VectorServeState;
 
     /** Dispatch for incoming remote-memory messages. */
     void onMessage(net::NodeId src, Message &&msg);
 
-    void serveWrite(net::NodeId src, WriteReq &&req);
-    void serveRead(net::NodeId src, ReadReq &&req);
-    void serveCas(net::NodeId src, CasReq &&req);
+    /** Serve a scalar WRITE/READ/CAS (arrived as @p type) as one sub-op. */
+    void serveScalar(net::NodeId src, MsgType type, ReqId reqId,
+                     VectorSubOp &&sub);
+
+    /** A scalar's last stage: execute, then reply or NAK, then notify. */
+    void finishScalar(ScalarServe &s);
+
     void serveVector(net::NodeId src, VectorReq &&req);
-    void completeRead(net::NodeId src, ReadResp &&resp);
-    void completeCas(net::NodeId src, CasResp &&resp);
-    void completeVector(net::NodeId src, VectorResp &&resp);
-    void handleNak(net::NodeId src, const Nak &nak);
 
     /** Stage 1 of a served vector: per-batch validation + dispatch. */
     void executeVector(const std::shared_ptr<VectorServeState> &st,
                        VectorReq &&req);
 
-    /** Stage 2: one sub-op's translation, copy, and notify queueing. */
+    /** Stage 2: one sub-op's execution and notify queueing. */
     void executeVectorSubOp(const std::shared_ptr<VectorServeState> &st,
                             size_t index, VectorSubOp &&sub);
 
     /** Last sub-op done: coalesced doorbells + response + span close. */
     void finishVector(const std::shared_ptr<VectorServeState> &st);
 
+    /**
+     * The one sub-op executor, scalar or vectored: re-validate (the
+     * slot may have been revoked since stage 1), look up the owner, and
+     * apply to the owner's space under the initiating node's race
+     * actor (labelled @p raceSite). Fills @p res; returns the segment's
+     * descriptor, or nullptr with res.status set.
+     */
+    SegmentDescriptor *executeSubOp(net::NodeId src,
+                                    std::string_view raceSite,
+                                    const VectorSubOp &sub,
+                                    VectorSubResult &res);
+
+    /**
+     * Initiator side: deposit a response's results locally and resolve
+     * its request. A ReadResp or CasResp arrives as a one-element array,
+     * a VectorResp as its result list.
+     */
+    template <typename Results>
+    void complete(net::NodeId src, ReqId reqId, Results results);
+
+    void handleNak(net::NodeId src, const Nak &nak);
+
     /** Send a NAK for a rejected request. */
     void sendNak(net::NodeId dst, ReqId reqId, util::ErrorCode error,
                  MsgType originalType);
 
-    /** Post a notification if policy/notify-bit ask for one. */
-    void maybeNotify(SegmentDescriptor &d, bool requestNotify,
-                     const Notification &n);
+    /** Post one notification on @p ch, counted and traced. */
+    void postNotification(NotificationChannel &ch, const Notification &n);
+
+    /** Post each segment's queued records as one counted doorbell. */
+    void ringDoorbells(
+        const std::map<SegmentId, std::vector<Notification>> &notify);
+
+    /** Register a pending request under a fresh id, arming its timeout. */
+    ReqId addPending(Pending p, sim::Duration timeout);
+
+    /** Remove a pending request and cancel its timeout guard. */
+    Pending takePending(PendingTable::iterator it);
+
+    /** Resolve a pending request with a failure status. */
+    static void failPending(Pending &p, util::Status status);
 
     /** Allocate a request id not currently pending. */
     ReqId allocReqId();
@@ -384,9 +430,7 @@ class RmemEngine
     CostModel costs_;
     Wire wire_;
     DescriptorTable table_;
-    std::unordered_map<ReqId, PendingRead> pendingReads_;
-    std::unordered_map<ReqId, PendingCas> pendingCas_;
-    std::unordered_map<ReqId, PendingVector> pendingVectors_;
+    PendingTable pending_;
     ReqId nextReqId_ = 1;
     EngineStats stats_;
     EngineMetrics metrics_;
