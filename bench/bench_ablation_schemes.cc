@@ -204,6 +204,9 @@ main()
                      pull.latencyUs < hybrid.latencyUs);
     report.check("push_reads_free",
                  push.serverUs == 0 && push.cells == 0);
+    report.metric("sim.events",
+                  static_cast<double>(h.cluster.sim.eventsProcessed()),
+                  "events");
     report.write();
     return 0;
 }

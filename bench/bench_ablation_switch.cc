@@ -23,6 +23,7 @@ struct Numbers
     double writeUs;
     double readUs;
     double casUs;
+    uint64_t events;
 };
 
 Numbers
@@ -76,6 +77,7 @@ measure(bool switched, sim::Duration fabricLatency)
     n.writeUs /= kIters;
     n.readUs /= kIters;
     n.casUs /= kIters;
+    n.events = sim.eventsProcessed();
     return n;
 }
 
@@ -98,6 +100,7 @@ main()
     report.metric("direct.cas_us", direct.casUs, "us");
 
     double worstReadPenalty = 0;
+    uint64_t events = direct.events;
     for (double fabricUs : {1.0, 2.0, 5.0, 10.0}) {
         Numbers sw = measure(true, sim::usec(fabricUs));
         char label[64];
@@ -114,6 +117,7 @@ main()
         report.metric(key + ".write_us", sw.writeUs, "us");
         report.metric(key + ".read_us", sw.readUs, "us");
         report.metric(key + ".cas_us", sw.casUs, "us");
+        events += sw.events;
     }
     std::printf("%s\n", table.render().c_str());
 
@@ -125,6 +129,7 @@ main()
                   "us");
     report.check("fast_fabric_lt_30pct_read",
                  worstReadPenalty < 0.3 * direct.readUs);
+    report.metric("sim.events", static_cast<double>(events), "events");
     report.write();
     std::printf("(store-and-forward adds one cell serialization plus "
                 "propagation per hop, and reads cross the fabric twice:\n"

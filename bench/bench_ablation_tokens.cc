@@ -74,6 +74,7 @@ main()
                   "control-transfer revocation");
 
     bench::BenchReport report("ablation_tokens");
+    uint64_t events = 0; // both parts' simulators
 
     // Part 1: the three acquisition paths.
     {
@@ -114,6 +115,7 @@ main()
         report.check("cached_lt_uncontended_lt_contended",
                      cachedUs < uncontendedUs &&
                          uncontendedUs < contendedUs);
+        events += h.sim.eventsProcessed();
     }
 
     // Part 2: sharing-pattern replay.
@@ -176,7 +178,9 @@ main()
         report.metric("replay.local_hit_pct", localPct, "%");
         report.metric("replay.control_transfer_pct", ctPct, "%");
         report.check("control_transfer_rare", ctPct < 10.0);
+        events += h.sim.eventsProcessed();
     }
+    report.metric("sim.events", static_cast<double>(events), "events");
     report.write();
     return 0;
 }

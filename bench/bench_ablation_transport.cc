@@ -94,6 +94,9 @@ main()
 
     report.check("latency_dx_lt_hy_lt_rpc", latencyOrdered);
     report.check("load_dx_lt_hy_lt_rpc", loadOrdered);
+    report.metric("sim.events",
+                  static_cast<double>(h.base.cluster.sim.eventsProcessed()),
+                  "events");
     report.write();
     return 0;
 }

@@ -126,32 +126,42 @@ if [[ "${DO_ASAN}" == 1 ]]; then
     GATES_RUN+=("asan")
 fi
 
+# Run remora_mc with the given arguments into MC_OUT and echo it; on a
+# nonzero exit, fail the gate with message $1.
+run_mc() {
+    local fail="$1"
+    shift
+    MC_OUT="$(./build/tools/remora_mc/remora_mc "$@")" || {
+        echo "${MC_OUT}"
+        echo "${fail}" >&2
+        exit 1
+    }
+    echo "${MC_OUT}"
+}
+
+# The gate's summary from remora_mc's last line, which starts with the
+# gate name: "race seeds=8 races=0" becomes "race[seeds=8 races=0]".
+# mc's unexpected= count is 0 whenever the gate passes.
+mc_summary() {
+    tail -1 <<<"${MC_OUT}" | sed 's/ unexpected=[0-9]*//; s/ /[/; s/$/]/'
+}
+
 if [[ "${DO_RACE}" == 1 ]]; then
     echo
     echo "== race: happens-before detection over perturbed schedules =="
-    cmake --build build -j "${JOBS}" --target race_probe
-    RACE_SEEDS=(0 1 2 3 4 5 6 7)
-    RACE_TOTAL=0
-    # Per-seed probe: a race-clean workload under the armed detector.
-    # Each seed prints its digest (distinct per seed, replayable) and
-    # race count; any race fails the probe and therefore the gate.
-    for seed in "${RACE_SEEDS[@]}"; do
-        line="$(./build/tools/race_probe/race_probe "${seed}")" || {
-            echo "${line}"
-            echo "race gate: probe reported races at seed ${seed}" >&2
-            exit 1
-        }
-        echo "  ${line}"
-        races="$(sed -n 's/.*races=\([0-9]*\).*/\1/p' <<<"${line}")"
-        RACE_TOTAL=$((RACE_TOTAL + races))
-    done
+    cmake --build build -j "${JOBS}" --target remora_mc
+    # Seed sweep: a race-clean workload under the armed detector. Each
+    # seed prints its digest (distinct per seed, replayable) and race
+    # count; any race fails the sweep and therefore the gate.
+    run_mc "race gate: the sweep reported races" race
     # Per-seed armed suite: every test labeled `race` must stay green
-    # with the detector fatal (REMORA_RACE=1) under that schedule.
-    for seed in "${RACE_SEEDS[@]}"; do
+    # with the detector fatal (REMORA_RACE=1) under each of the sweep's
+    # seeds.
+    for seed in $(sed -n 's/^seed=\([0-9]*\) .*/\1/p' <<<"${MC_OUT}"); do
         (cd build && REMORA_RACE=1 REMORA_PERTURB="${seed}" \
             ctest -L race --output-on-failure -j "${JOBS}")
     done
-    GATES_RUN+=("race[seeds=${#RACE_SEEDS[@]} races=${RACE_TOTAL}]")
+    GATES_RUN+=("$(mc_summary)")
 fi
 
 if [[ "${DO_MC}" == 1 ]]; then
@@ -165,42 +175,22 @@ if [[ "${DO_MC}" == 1 ]]; then
     # wakeup, or leaked coroutine in shipping code paths.
     cmake --build build -j "${JOBS}" --target remora_mc
     (cd build && ctest -L mc --output-on-failure -j "${JOBS}")
-    MC_OUT="$(./build/tools/remora_mc/remora_mc --max-schedules 60)" || {
-        echo "${MC_OUT}"
-        echo "mc gate: exploration found a bug in a clean workload" >&2
-        exit 1
-    }
-    echo "${MC_OUT}"
-    MC_SUMMARY="$(grep '^mc ' <<<"${MC_OUT}" | tail -1)"
-    MC_W="$(sed -n 's/.*workloads=\([0-9]*\).*/\1/p' <<<"${MC_SUMMARY}")"
-    MC_S="$(sed -n 's/.*schedules=\([0-9]*\).*/\1/p' <<<"${MC_SUMMARY}")"
-    MC_F="$(sed -n 's/.*findings=\([0-9]*\).*/\1/p' <<<"${MC_SUMMARY}")"
-    GATES_RUN+=("mc[workloads=${MC_W} schedules=${MC_S} findings=${MC_F}]")
+    run_mc "mc gate: exploration found a bug in a clean workload" \
+        --max-schedules 60
+    GATES_RUN+=("$(mc_summary)")
 fi
 
 if [[ "${DO_FAULTS}" == 1 ]]; then
     echo
     echo "== faults: end-to-end delivery audit under injected loss =="
-    cmake --build build -j "${JOBS}" --target fault_probe
-    FAULT_SEEDS=(0 1 2 3 4 5 6 7)
-    FAULT_DROP=0.05
-    FAULT_DROPS=0
-    # Per-seed probe: notified writes and read-backs cross a link that
-    # drops FAULT_DROP of all cells. Every user-visible op must land
-    # exactly once (undelivered=0, no abandonment, nothing wedged) or
-    # the probe exits nonzero and the gate fails. The digest confirms
-    # each seed ran a distinct, replayable lossy schedule.
-    for seed in "${FAULT_SEEDS[@]}"; do
-        line="$(./build/tools/fault_probe/fault_probe "${seed}" "${FAULT_DROP}")" || {
-            echo "${line}"
-            echo "faults gate: lost user-visible ops at seed ${seed}" >&2
-            exit 1
-        }
-        echo "  ${line}"
-        drops="$(sed -n 's/.*drops=\([0-9]*\).*/\1/p' <<<"${line}")"
-        FAULT_DROPS=$((FAULT_DROPS + drops))
-    done
-    GATES_RUN+=("faults[seeds=${#FAULT_SEEDS[@]} drops=${FAULT_DROPS} undelivered=0]")
+    cmake --build build -j "${JOBS}" --target remora_mc
+    # Seed sweep: notified writes and read-backs cross a link that drops
+    # 5% of all cells. Every user-visible op must land exactly once
+    # (undelivered=0, no abandonment, nothing wedged) or the sweep exits
+    # nonzero and the gate fails. The digest confirms each seed ran a
+    # distinct, replayable lossy schedule.
+    run_mc "faults gate: the sweep lost user-visible ops" faults
+    GATES_RUN+=("$(mc_summary)")
 fi
 
 if [[ "${DO_BENCH}" == 1 ]]; then
@@ -239,69 +229,32 @@ if [[ "${DO_BENCH}" == 1 ]]; then
     # own delivery and repaired-by-retransmit checks carry the
     # qualitative gate. The 0% row stays at the default tolerance: it
     # is the machinery-off hot-path guard and must not move at all.
-    EXACT_TOL=(--tol-metric sim.events=0
-               --tol-metric remote_write.events_per_op=0)
+    GATE=(--tol-metric sim.events=0
+          --tol-metric remote_write.events_per_op=0
+          --tol-metric wall_ms=90 --dir-metric wall_ms=down)
     for n in 1 2 4 8 16 24; do
         for backend in hy dx; do
-            EXACT_TOL+=(--tol-metric "n${n}.${backend}.sim.events_per_op=0")
+            GATE+=(--tol-metric "n${n}.${backend}.sim.events_per_op=0")
         done
     done
-    ./build/tools/bench_diff/bench_diff --tol 5 "${EXACT_TOL[@]}" \
-        --tol-metric drop_2.write_round_us=30 \
-        --tol-metric drop_2.read_round_us=30 \
-        --tol-metric drop_5.write_round_us=30 \
-        --tol-metric drop_5.read_round_us=30 \
-        --tol-metric drop_10.write_round_us=30 \
-        --tol-metric drop_10.read_round_us=30 \
-        --tol-metric drop_2.drops=60 \
-        --tol-metric drop_2.retransmits=60 \
-        --tol-metric drop_5.drops=60 \
-        --tol-metric drop_5.retransmits=60 \
-        --tol-metric drop_10.drops=60 \
-        --tol-metric drop_10.retransmits=60 \
-        --dir-metric drop_2.write_round_us=down \
-        --dir-metric drop_2.read_round_us=down \
-        --dir-metric drop_5.write_round_us=down \
-        --dir-metric drop_5.read_round_us=down \
-        --dir-metric drop_10.write_round_us=down \
-        --dir-metric drop_10.read_round_us=down \
-        --tol-metric explore.schedules_per_sec=90 \
-        --tol-metric tree.files_per_sec=90 \
-        --tol-metric corpus.files_per_sec=90 \
-        --dir-metric explore.schedules_per_sec=up \
-        --dir-metric tree.files_per_sec=up \
-        --dir-metric corpus.files_per_sec=up \
-        --tol-metric event_queue.events_per_sec=90 \
-        --tol-metric churn.events_per_sec=90 \
-        --tol-metric crc_64.mb_per_sec=90 \
-        --tol-metric crc_4096.mb_per_sec=90 \
-        --tol-metric crc_65536.mb_per_sec=90 \
-        --tol-metric aal5_40.mb_per_sec=90 \
-        --tol-metric aal5_4096.mb_per_sec=90 \
-        --tol-metric aal5_32768.mb_per_sec=90 \
-        --tol-metric codec.ops_per_sec=90 \
-        --tol-metric marshal.ops_per_sec=90 \
-        --tol-metric pcg.draws_per_sec=90 \
-        --tol-metric remote_write.ops_per_sec=90 \
-        --dir-metric event_queue.events_per_sec=up \
-        --dir-metric churn.events_per_sec=up \
-        --dir-metric crc_64.mb_per_sec=up \
-        --dir-metric crc_4096.mb_per_sec=up \
-        --dir-metric crc_65536.mb_per_sec=up \
-        --dir-metric aal5_40.mb_per_sec=up \
-        --dir-metric aal5_4096.mb_per_sec=up \
-        --dir-metric aal5_32768.mb_per_sec=up \
-        --dir-metric codec.ops_per_sec=up \
-        --dir-metric marshal.ops_per_sec=up \
-        --dir-metric pcg.draws_per_sec=up \
-        --dir-metric remote_write.ops_per_sec=up \
-        --tol-metric wall_ms=90 \
-        --dir-metric wall_ms=down \
-        --dir-metric write_x4.latency_speedup=up \
-        --dir-metric write_x8.latency_speedup=up \
-        --dir-metric write_x16.latency_speedup=up \
-        --dir-metric read_x4.latency_speedup=up \
-        --dir-metric read_x8.latency_speedup=up \
+    for drop in drop_2 drop_5 drop_10; do
+        for m in write_round_us read_round_us; do
+            GATE+=(--tol-metric "${drop}.${m}=30" --dir-metric "${drop}.${m}=down")
+        done
+        GATE+=(--tol-metric "${drop}.drops=60" --tol-metric "${drop}.retransmits=60")
+    done
+    for m in explore.schedules_per_sec tree.files_per_sec corpus.files_per_sec \
+             event_queue.events_per_sec churn.events_per_sec \
+             crc_64.mb_per_sec crc_4096.mb_per_sec crc_65536.mb_per_sec \
+             aal5_40.mb_per_sec aal5_4096.mb_per_sec aal5_32768.mb_per_sec \
+             codec.ops_per_sec marshal.ops_per_sec pcg.draws_per_sec \
+             remote_write.ops_per_sec; do
+        GATE+=(--tol-metric "${m}=90" --dir-metric "${m}=up")
+    done
+    for m in write_x4 write_x8 write_x16 read_x4 read_x8; do
+        GATE+=(--dir-metric "${m}.latency_speedup=up")
+    done
+    ./build/tools/bench_diff/bench_diff --tol 5 "${GATE[@]}" \
         bench/baselines build/bench
     GATES_RUN+=("bench")
 fi

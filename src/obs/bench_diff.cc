@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <set>
 
 namespace remora::obs {
 
@@ -205,6 +206,37 @@ diffReportText(const std::string &baselineText,
         return r;
     }
     return diffReports(base.value(), cand.value(), opts);
+}
+
+std::vector<std::string>
+unknownGateMetrics(const BenchDiffOptions &opts,
+                   const std::vector<std::string> &baselineTexts)
+{
+    std::set<std::string> known;
+    for (const std::string &text : baselineTexts) {
+        auto report = util::JsonValue::parse(text);
+        if (report.ok()) {
+            for (const auto &[name, value] : metricMap(report.value(),
+                                                       nullptr)) {
+                (void)value;
+                known.insert(name);
+            }
+        }
+    }
+    std::set<std::string> unknown;
+    for (const auto &[name, pct] : opts.tolerances) {
+        (void)pct;
+        if (known.count(name) == 0) {
+            unknown.insert(name);
+        }
+    }
+    for (const auto &[name, dir] : opts.directions) {
+        (void)dir;
+        if (known.count(name) == 0) {
+            unknown.insert(name);
+        }
+    }
+    return {unknown.begin(), unknown.end()};
 }
 
 } // namespace remora::obs

@@ -99,4 +99,15 @@ BenchDiffResult diffReportText(const std::string &baselineText,
                                const std::string &candidateText,
                                const BenchDiffOptions &opts = {});
 
+/**
+ * Names in @p opts' tolerances or directions that are a metric of none
+ * of @p baselineTexts, sorted. Overrides are looked up by name, so an
+ * override naming a renamed or misspelt metric would otherwise leave
+ * that metric on the default tolerance without a word. Unparsable
+ * texts contribute no names; diffReportText() reports them.
+ */
+std::vector<std::string>
+unknownGateMetrics(const BenchDiffOptions &opts,
+                   const std::vector<std::string> &baselineTexts);
+
 } // namespace remora::obs

@@ -932,17 +932,7 @@ RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st,
     }
     stats_.vectorValidateHits.inc(cache.hits());
     if (st->remaining == 0) {
-        // Nothing executable. Response-carrying batches report per-sub-op
-        // status; a pure-write batch NAKs once like a scalar bad write.
-        if (st->wantResponse) {
-            finishVector(st);
-        } else {
-            sendNak(st->src, 0, st->results.empty()
-                                    ? util::ErrorCode::kInvalidArgument
-                                    : st->results.front().status,
-                    MsgType::kVectorOp);
-            obs::TraceRecorder::instance().endSpan(st->span);
-        }
+        finishVector(st); // nothing executable
         return;
     }
     // Stage 2: one deferred event per valid sub-op, each carrying its
@@ -1009,6 +999,18 @@ RmemEngine::finishVector(const std::shared_ptr<VectorServeState> &st)
         resp.results = std::move(st->results);
         wire_.send(st->src, Message(std::move(resp)),
                    sim::CpuCategory::kDataReply);
+    } else {
+        // Response-carrying batches report per-sub-op status; a
+        // pure-write batch with any failed sub-op, at whichever stage,
+        // NAKs once with the first failure, like a scalar bad write.
+        auto failed = std::find_if(
+            st->results.begin(), st->results.end(),
+            [](const VectorSubResult &r) {
+                return r.status != util::ErrorCode::kOk;
+            });
+        if (failed != st->results.end()) {
+            sendNak(st->src, 0, failed->status, MsgType::kVectorOp);
+        }
     }
     obs::TraceRecorder::instance().endSpan(st->span);
 }

@@ -362,6 +362,12 @@ Wire::onRetransmitTimeout(net::NodeId dst, uint32_t seq)
                    node_.name() << ": abandoning seq " << seq << " to node "
                                 << dst << " after " << u.attempts
                                 << " attempts");
+        if (obs::TraceRecorder::on()) {
+            obs::TraceRecorder::instance().instantFor(
+                u.traceOp, node_.name(), "net", "abandon",
+                "dst=" + std::to_string(dst) + " seq=" + std::to_string(seq) +
+                    " attempts=" + std::to_string(u.attempts));
+        }
         txIt->second.unacked.erase(it);
         return;
     }

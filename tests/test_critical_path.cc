@@ -443,5 +443,25 @@ TEST(BenchDiff, BenchNameMismatchFails)
     EXPECT_FALSE(result.pass());
 }
 
+TEST(BenchDiff, GateFlagNamingNoBaselinedMetricIsReported)
+{
+    // A renamed metric must not quietly drop off its exact gate: every
+    // override name has to match a metric of some baseline.
+    obs::BenchReport other("other");
+    other.metric("sim.events", 42.0, "events");
+    std::vector<std::string> baselines = {reportJson(100.0), other.toJson(),
+                                          "{not json"};
+    obs::BenchDiffOptions opts;
+    opts.tolerances["sim.events"] = 0.0;
+    opts.directions["op.throughput_mbps"] = 1;
+    EXPECT_TRUE(obs::unknownGateMetrics(opts, baselines).empty());
+
+    opts.tolerances["sim.event_count"] = 0.0;
+    opts.directions["op.latency_ms"] = -1;
+    opts.directions["sim.event_count"] = 1;
+    EXPECT_EQ(obs::unknownGateMetrics(opts, baselines),
+              (std::vector<std::string>{"op.latency_ms", "sim.event_count"}));
+}
+
 } // namespace
 } // namespace remora

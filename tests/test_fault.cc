@@ -13,6 +13,7 @@
 #include "cluster_fixture.h"
 #include "net/aal5.h"
 #include "net/fault.h"
+#include "obs/trace.h"
 #include "rpc/transport.h"
 #include "util/crc.h"
 
@@ -292,6 +293,71 @@ TEST(FaultCluster, CorruptionIsDetectedAndRepairedByRetransmission)
     EXPECT_GT(detected, 0u);
     EXPECT_GT(c.engineA.wire().retransmits(), 0u);
     EXPECT_EQ(c.sim.blockedTaskCount(), 0u);
+}
+
+TEST(FaultCluster, AbandonmentRecordsOneTraceInstantAndNoEvent)
+{
+    struct Run
+    {
+        uint64_t sendFailures = 0;
+        uint64_t events = 0;
+        uint64_t digest = 0;
+        int abandons = 0;
+    };
+    // One write across a link that drops every cell: the wire retries
+    // until maxAttempts, then abandons the envelope.
+    auto run = [](bool traced) {
+        TwoNodeCluster c;
+        auto &tr = obs::TraceRecorder::instance();
+        if (traced) {
+            tr.enable(c.sim);
+        }
+        c.engineA.wire().enableReliability();
+        c.engineB.wire().enableReliability();
+        mem::Process &server = c.nodeB.spawnProcess("server");
+        mem::Vaddr base = server.space().allocRegion(4096);
+        auto seg = c.engineB.exportSegment(server, base, 4096,
+                                           rmem::Rights::kAll,
+                                           rmem::NotifyPolicy::kNever, "s");
+        EXPECT_TRUE(seg.ok());
+        c.sim.run();
+        net::FaultPlan plan;
+        plan.seed = 5;
+        plan.dropRate = 1.0;
+        c.network.installFaults(plan);
+        auto w = c.engineA.write(seg.value(), 0,
+                                 std::vector<uint8_t>(40, 1));
+        runToCompletion(c.sim, w);
+        c.sim.run();
+
+        Run r;
+        r.sendFailures = c.engineA.wire().sendFailures();
+        r.events = c.sim.eventsProcessed();
+        r.digest = c.sim.digest().value();
+        for (const obs::TraceEvent &ev : tr.events()) {
+            if (ev.phase == obs::TracePhase::kInstant &&
+                ev.name == "abandon") {
+                ++r.abandons;
+                EXPECT_EQ(ev.node, "nodeA");
+                EXPECT_NE(ev.detail.find("dst=2 "), std::string::npos)
+                    << ev.detail;
+                EXPECT_NE(ev.detail.find(" attempts=12"), std::string::npos)
+                    << ev.detail;
+            }
+        }
+        tr.disable();
+        tr.clear();
+        return r;
+    };
+    Run plain = run(false);
+    Run traced = run(true);
+    EXPECT_EQ(plain.sendFailures, 1u);
+    EXPECT_EQ(plain.abandons, 0);
+    EXPECT_EQ(traced.sendFailures, 1u);
+    EXPECT_EQ(traced.abandons, 1);
+    // The instant is trace data only: no event, no digest record.
+    EXPECT_EQ(traced.events, plain.events);
+    EXPECT_EQ(traced.digest, plain.digest);
 }
 
 // ----------------------------------------------------------------------

@@ -540,6 +540,60 @@ TEST(VectorOps, PureWriteBatchAgainstRevokedSlotNaksOnce)
     EXPECT_EQ(c.engineA.stats().naksReceived.value(), 1u);
 }
 
+TEST(VectorOps, PureWriteBatchRevokedMidCopyNaksOnce)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Vaddr base = server.space().allocRegion(4096);
+    auto seg = c.engineB.exportSegment(server, base, 4096,
+                                       rmem::Rights::kAll,
+                                       rmem::NotifyPolicy::kNever, "gone");
+    ASSERT_TRUE(seg.ok());
+
+    std::vector<rmem::BatchBuilder::Write> ops;
+    ops.push_back({seg.value(), 0, std::vector<uint8_t>(512, 1), false});
+    ops.push_back({seg.value(), 1024, std::vector<uint8_t>(512, 2), false});
+    // Both sub-ops pass stage 1; the slot is revoked before their
+    // stage-2 copies run. The loss must surface as one NAK, as it does
+    // for a batch rejected at stage 1.
+    auto task = c.engineA.writev(std::move(ops));
+    test::runToStageTwo(c.sim, c.engineB);
+    ASSERT_TRUE(c.engineB.revokeSegment(seg.value().descriptor).ok());
+    EXPECT_TRUE(runToCompletion(c.sim, task).ok());
+    c.sim.run();
+    EXPECT_EQ(c.engineB.stats().naksSent.value(), 1u);
+    EXPECT_EQ(c.engineA.stats().naksReceived.value(), 1u);
+}
+
+TEST(VectorOps, PureWriteBatchWithOneInvalidSubOpNaksOnceAndLandsTheRest)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Vaddr keepBase = server.space().allocRegion(4096);
+    mem::Vaddr goneBase = server.space().allocRegion(4096);
+    auto keep = c.engineB.exportSegment(server, keepBase, 4096,
+                                        rmem::Rights::kAll,
+                                        rmem::NotifyPolicy::kNever, "keep");
+    auto gone = c.engineB.exportSegment(server, goneBase, 4096,
+                                        rmem::Rights::kAll,
+                                        rmem::NotifyPolicy::kNever, "gone");
+    ASSERT_TRUE(keep.ok());
+    ASSERT_TRUE(gone.ok());
+    ASSERT_TRUE(c.engineB.revokeSegment(gone.value().descriptor).ok());
+
+    std::vector<rmem::BatchBuilder::Write> ops;
+    ops.push_back({keep.value(), 0, std::vector<uint8_t>(64, 7), false});
+    ops.push_back({gone.value(), 0, std::vector<uint8_t>(64, 8), false});
+    auto task = c.engineA.writev(std::move(ops));
+    EXPECT_TRUE(runToCompletion(c.sim, task).ok());
+    c.sim.run();
+    EXPECT_EQ(c.engineB.stats().naksSent.value(), 1u);
+    EXPECT_EQ(c.engineA.stats().naksReceived.value(), 1u);
+    std::vector<uint8_t> landed(64);
+    ASSERT_TRUE(server.space().read(keepBase, landed).ok());
+    EXPECT_EQ(landed, std::vector<uint8_t>(64, 7));
+}
+
 // ----------------------------------------------------------------------
 // Doorbell coalescing
 // ----------------------------------------------------------------------

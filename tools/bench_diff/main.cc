@@ -19,6 +19,9 @@
  * number of failing reports (clamped to 1), so scripts/check.sh can
  * gate on it directly. Candidate-only reports and metrics are noted
  * but never fail — refreshing bench/baselines/ is how they land.
+ * A --tol-metric or --dir-metric name that is no metric of any
+ * baseline in the directory is a usage error (exit 2): the override
+ * would otherwise silently gate nothing.
  */
 #include <algorithm>
 #include <cstdio>
@@ -110,10 +113,15 @@ main(int argc, char **argv)
     }
 
     std::vector<fs::path> baselines;
+    std::vector<std::string> allBaselineTexts;
     for (const auto &entry : fs::directory_iterator(baseDir)) {
         std::string name = entry.path().filename().string();
         if (name.rfind("BENCH_", 0) == 0 &&
             entry.path().extension() == ".json") {
+            std::string text;
+            if (readFile(entry.path(), text)) {
+                allBaselineTexts.push_back(std::move(text));
+            }
             if (!only.empty() && name != "BENCH_" + only + ".json") {
                 continue;
             }
@@ -124,6 +132,17 @@ main(int argc, char **argv)
     if (baselines.empty()) {
         std::fprintf(stderr, "bench_diff: no BENCH_*.json baselines in %s\n",
                      baseDir.string().c_str());
+        return 2;
+    }
+    std::vector<std::string> unknown =
+        remora::obs::unknownGateMetrics(opts, allBaselineTexts);
+    for (const std::string &name : unknown) {
+        std::fprintf(stderr,
+                     "bench_diff: --tol-metric/--dir-metric names no "
+                     "baselined metric: %s\n",
+                     name.c_str());
+    }
+    if (!unknown.empty()) {
         return 2;
     }
 

@@ -7,6 +7,7 @@
 
 #include "flow.h"
 #include "source_model.h"
+#include "util/json.h"
 
 namespace remora::lint {
 
@@ -694,42 +695,6 @@ checkScalarOpLoops(std::string_view path, const SourceModel &s,
     }
 }
 
-/** Minimal JSON string escaping (control chars, quotes, backslash). */
-std::string
-jsonEscape(std::string_view in)
-{
-    std::string out;
-    out.reserve(in.size() + 8);
-    for (char c : in) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 // ----------------------------------------------------------------------
@@ -882,11 +847,11 @@ findingsToJson(const std::vector<Finding> &findings)
     ss << "[";
     bool first = true;
     for (const Finding &f : findings) {
-        ss << (first ? "" : ",") << "\n  {\"file\":\"" << jsonEscape(f.file)
+        ss << (first ? "" : ",") << "\n  {\"file\":\"" << util::jsonEscape(f.file)
            << "\",\"line\":" << f.line << ",\"rule\":\"" << ruleName(f.rule)
            << "\",\"severity\":\""
            << (ruleIsError(f.rule) ? "error" : "advisory")
-           << "\",\"message\":\"" << jsonEscape(f.message) << "\"}";
+           << "\",\"message\":\"" << util::jsonEscape(f.message) << "\"}";
         first = false;
     }
     ss << (first ? "]" : "\n]");

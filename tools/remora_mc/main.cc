@@ -20,6 +20,15 @@
  * Exit status is the total finding count clamped to 1 — except for
  * seeded workloads listed on the command line, whose findings are
  * expected and reported but do not fail the run.
+ *
+ * Two seed sweeps replay one fixed workload per seed instead of
+ * exploring schedules; each prints one line per seed and a summary,
+ * and exits nonzero on any failure:
+ *
+ *     remora_mc race     # check.sh --race: armed race detector,
+ *                        # perturbation seeds 0-7
+ *     remora_mc faults   # check.sh --faults: 5% cell drop on both
+ *                        # link directions, fault seeds 0-7
  */
 #include <cstdio>
 #include <cstdlib>
@@ -30,16 +39,20 @@
 
 #include "dfs/token.h"
 #include "mem/node.h"
+#include "names/clerk.h"
 #include "net/fault.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "rmem/engine.h"
 #include "rmem/notification.h"
+#include "rmem/race_detector.h"
 #include "rmem/sync.h"
 #include "rpc/hybrid1.h"
 #include "rpc/transport.h"
 #include "sim/explorer.h"
 #include "sim/task.h"
+#include "util/bytes.h"
+#include "util/json.h"
 #include "util/panic.h"
 
 namespace remora {
@@ -49,7 +62,11 @@ namespace {
 // Shared cluster scaffolding
 // ----------------------------------------------------------------------
 
-/** N switched nodes with engines, built fresh per explored schedule. */
+/**
+ * N switched nodes with engines (two are wired back to back), built
+ * fresh per explored schedule or swept seed. Node i is named
+ * node<first + i - 1>: node1, node2, ... by default.
+ */
 struct World
 {
     sim::Simulator &sim;
@@ -57,11 +74,12 @@ struct World
     std::vector<std::unique_ptr<mem::Node>> nodes;
     std::vector<std::unique_ptr<rmem::RmemEngine>> engines;
 
-    World(sim::Simulator &s, uint32_t n) : sim(s), network(s, net::LinkParams{})
+    World(sim::Simulator &s, uint32_t n, char first = '1')
+        : sim(s), network(s, net::LinkParams{})
     {
         for (uint32_t i = 1; i <= n; ++i) {
             nodes.push_back(std::make_unique<mem::Node>(
-                s, i, "node" + std::to_string(i)));
+                s, i, std::string("node") + static_cast<char>(first + i - 1)));
             engines.push_back(
                 std::make_unique<rmem::RmemEngine>(*nodes.back()));
             network.addHost(i, nodes.back()->nic());
@@ -103,25 +121,34 @@ rpcCalls(rpc::Hybrid1Client *c, uint8_t tag)
     }
 }
 
+/** A started Hybrid-1 echo server in a fresh process on node 1. */
+std::unique_ptr<rpc::Hybrid1Server>
+startEchoServer(World &w)
+{
+    mem::Process &serverProc = w.nodes[0]->spawnProcess("rpc-server");
+    auto server =
+        std::make_unique<rpc::Hybrid1Server>(*w.engines[0], serverProc);
+    server->setHandler(
+        [](net::NodeId,
+           std::vector<uint8_t> args) -> sim::Task<std::vector<uint8_t>> {
+            co_return args;
+        });
+    server->start();
+    return server;
+}
+
 /** Hybrid-1 echo: two clients race their notified request writes. */
 void
 rpcWorkload(sim::Simulator &s)
 {
     World w(s, 3);
-    mem::Process &serverProc = w.nodes[0]->spawnProcess("rpc-server");
-    rpc::Hybrid1Server server(*w.engines[0], serverProc);
-    server.setHandler(
-        [](net::NodeId,
-           std::vector<uint8_t> args) -> sim::Task<std::vector<uint8_t>> {
-            co_return args;
-        });
-    server.start();
+    auto server = startEchoServer(w);
     mem::Process &p1 = w.nodes[1]->spawnProcess("rpc-client1");
     mem::Process &p2 = w.nodes[2]->spawnProcess("rpc-client2");
-    rpc::Hybrid1Client c1(*w.engines[1], p1, server.requestSegmentHandle(),
-                          server.allocSlot());
-    rpc::Hybrid1Client c2(*w.engines[2], p2, server.requestSegmentHandle(),
-                          server.allocSlot());
+    rpc::Hybrid1Client c1(*w.engines[1], p1, server->requestSegmentHandle(),
+                          server->allocSlot());
+    rpc::Hybrid1Client c2(*w.engines[2], p2, server->requestSegmentHandle(),
+                          server->allocSlot());
     auto t1 = rpcCalls(&c1, 0x11);
     auto t2 = rpcCalls(&c2, 0x22);
     s.run();
@@ -364,6 +391,334 @@ lostWakeupWorkload(sim::Simulator &s)
 }
 
 // ----------------------------------------------------------------------
+// Seed sweeps (the check.sh --race and --faults gates)
+// ----------------------------------------------------------------------
+
+/** Each sweep runs perturbation or fault seeds 0 .. kSweepSeeds - 1. */
+constexpr uint64_t kSweepSeeds = 8;
+/** Share of cells the fault sweep drops on each link direction. */
+constexpr double kFaultDropRate = 0.05;
+
+/** Locked read-modify-write increments of a shared counter. */
+sim::Task<void>
+counterWorker(rmem::RmemEngine *eng, rmem::SpinLock *lock,
+              rmem::ImportedSegment page, rmem::SegmentId scratch,
+              int iters)
+{
+    for (int k = 0; k < iters; ++k) {
+        auto s = co_await lock->acquire();
+        REMORA_ASSERT(s.ok());
+        rmem::ReadOutcome cur = co_await eng->read(page, 64, scratch, 16, 4);
+        REMORA_ASSERT(cur.status.ok());
+        uint32_t v = util::ByteReader(cur.data).getU32();
+        util::ByteWriter w(4);
+        w.putU32(v + 1);
+        auto ws = co_await eng->write(
+            page, 64,
+            std::vector<uint8_t>(w.bytes().begin(), w.bytes().end()));
+        REMORA_ASSERT(ws.ok());
+        auto r = co_await lock->release();
+        REMORA_ASSERT(r.ok());
+    }
+}
+
+/** Import the named segment and stream writes at it (sole writer). */
+sim::Task<void>
+namesWorker(names::NameClerk *clerk, rmem::RmemEngine *eng)
+{
+    auto imported = co_await clerk->import("probe.seg", 1);
+    REMORA_ASSERT(imported.ok());
+    for (int i = 0; i < 6; ++i) {
+        std::vector<uint8_t> data(96, static_cast<uint8_t>(0x40 + i));
+        auto ws = co_await eng->write(imported.value(), 128 * i, data);
+        REMORA_ASSERT(ws.ok());
+    }
+}
+
+/** Hybrid-1 echo round trips. */
+sim::Task<void>
+raceRpcCalls(rpc::Hybrid1Client *client)
+{
+    for (uint8_t i = 0; i < 4; ++i) {
+        std::vector<uint8_t> args{i, 2, 3};
+        auto reply = co_await client->call(args);
+        REMORA_ASSERT(reply.ok());
+        REMORA_ASSERT(reply.value()[0] == i);
+    }
+}
+
+/**
+ * One race-sweep seed under the armed detector: name-service
+ * publish/import (notification and CT sequence-word edges), a
+ * CAS-guarded spin-lock counter (sync-word and CAS-pair edges) and
+ * Hybrid-1 RPC round trips (request notification + reply sequence
+ * word) on one perturbed event queue. Prints
+ *
+ *     seed=<N> digest=0x<16 hex> races=<M> checked=<K>
+ *
+ * and returns M. A lost happens-before edge surfaces as a false
+ * positive here; the digest shows each seed ran a distinct schedule
+ * and that a rerun of the seed replays it bit-identically.
+ */
+uint64_t
+raceSeed(uint64_t seed)
+{
+    auto &det = rmem::RaceDetector::instance();
+    det.reset();
+    uint64_t races0 = det.raceCount();
+    uint64_t checked0 = det.accessesChecked();
+
+    sim::Simulator sim;
+    sim.setPerturbation(seed);
+    World w(sim, 3);
+
+    // Name service on nodes 1 and 2; node 1 publishes, node 2 imports.
+    names::NameClerk names1(*w.engines[0]);
+    names::NameClerk names2(*w.engines[1]);
+    names1.addPeer(2);
+    names2.addPeer(1);
+    mem::Process &pub = w.nodes[0]->spawnProcess("publisher");
+    mem::Vaddr pubBase = pub.space().allocRegion(4096);
+    auto exp = names1.exportByName(&pub, pubBase, 4096, rmem::Rights::kAll,
+                                   rmem::NotifyPolicy::kNever, "probe.seg");
+
+    // Spin-lock counter page on node 1; nodes 2 and 3 contend.
+    rmem::ImportedSegment page = w.exportOn(0, "probe.page");
+    struct Contender
+    {
+        std::unique_ptr<rmem::SpinLock> lock;
+        rmem::SegmentId scratch = 0;
+        sim::Task<void> task{};
+    };
+    std::vector<Contender> contenders(2);
+    for (size_t i = 0; i < 2; ++i) {
+        contenders[i].scratch = w.exportOn(i + 1, "probe.scratch").descriptor;
+        contenders[i].lock = std::make_unique<rmem::SpinLock>(
+            *w.engines[i + 1], page, 0, contenders[i].scratch, 0,
+            static_cast<uint32_t>(0x200 + i));
+    }
+
+    // Hybrid-1 RPC: server on node 1, client on node 3.
+    auto server = startEchoServer(w);
+    mem::Process &clientProc = w.nodes[2]->spawnProcess("rpc-client");
+    rpc::Hybrid1Client client(*w.engines[2], clientProc,
+                              server->requestSegmentHandle(),
+                              server->allocSlot());
+
+    // Drive everything to completion on one event queue.
+    auto names = namesWorker(&names2, &*w.engines[1]);
+    for (size_t i = 0; i < 2; ++i) {
+        contenders[i].task =
+            counterWorker(&*w.engines[i + 1], contenders[i].lock.get(), page,
+                          contenders[i].scratch, 4);
+    }
+    auto rpcs = raceRpcCalls(&client);
+    sim.run();
+    REMORA_ASSERT(exp.done() && exp.result().ok());
+    REMORA_ASSERT(names.done());
+    REMORA_ASSERT(contenders[0].task.done() && contenders[1].task.done());
+    REMORA_ASSERT(rpcs.done());
+
+    uint64_t races = det.raceCount() - races0;
+    std::printf("seed=%llu digest=0x%016llx races=%llu checked=%llu\n",
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(sim.digest().value()),
+                static_cast<unsigned long long>(races),
+                static_cast<unsigned long long>(det.accessesChecked() -
+                                                checked0));
+    for (const auto &r : det.reports()) {
+        std::fprintf(stderr, "%s\n", r.format().c_str());
+    }
+    return races;
+}
+
+/** `remora_mc race`: every seed, then `race seeds=<N> races=<M>`. */
+int
+raceSweep()
+{
+    // Non-fatal: count, report, and exit nonzero. Armed before any
+    // segment is exported so every export registers.
+    auto &det = rmem::RaceDetector::instance();
+    det.arm({});
+    uint64_t races = 0;
+    for (uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
+        races += raceSeed(seed);
+    }
+    det.disarm();
+    std::printf("race seeds=%llu races=%llu\n",
+                static_cast<unsigned long long>(kSweepSeeds),
+                static_cast<unsigned long long>(races));
+    return races == 0 ? 0 : 1;
+}
+
+/** READ @p expect.size() bytes at @p off and compare. */
+sim::Task<void>
+readBack(rmem::RmemEngine *eng, rmem::ImportedSegment seg,
+         rmem::SegmentId scratch, uint32_t off, std::vector<uint8_t> expect,
+         uint64_t *mismatches)
+{
+    rmem::ReadOutcome out = co_await eng->read(
+        seg, off, scratch, 0, static_cast<uint16_t>(expect.size()));
+    if (!out.status.ok() || out.data != expect) {
+        ++*mismatches;
+    }
+}
+
+/** The fault sweep's running tallies. */
+struct FaultTotals
+{
+    uint64_t drops = 0;
+    /** User-visible losses: missing bytes, notifications or reads. */
+    uint64_t undelivered = 0;
+    /** Any loss, wire abandonment or coroutine blocked at quiescence. */
+    bool failed = false;
+};
+
+/**
+ * One fault-sweep seed over the paper's two-node testbed, kFaultDropRate
+ * of the cells dropped on both link directions and the reliable wire
+ * on: notified WRITEs and remote READs whose sizes straddle the
+ * raw-cell / AAL5-frame boundary, so both encodings cross the lossy
+ * link. After quiescence it audits end-to-end delivery (server memory
+ * bytes, notification count, read-back contents) and prints
+ *
+ *     seed=<N> digest=0x<16 hex> drops=<M> retransmits=<K> undelivered=<U>
+ *
+ * and adds its tallies to @p totals. The nodes keep the names nodeA
+ * and nodeB: installFaults() folds each link's name into its injector
+ * seed.
+ */
+void
+faultSeed(uint64_t seed, FaultTotals &totals)
+{
+    sim::Simulator sim;
+    World w(sim, 2, 'A');
+    rmem::RmemEngine &engineA = *w.engines[0];
+    rmem::RmemEngine &engineB = *w.engines[1];
+    engineA.wire().enableReliability();
+    engineB.wire().enableReliability();
+
+    mem::Process &server = w.nodes[1]->spawnProcess("server");
+    mem::Vaddr base = server.space().allocRegion(32768);
+    auto seg = engineB.exportSegment(server, base, 32768, rmem::Rights::kAll,
+                                     rmem::NotifyPolicy::kConditional,
+                                     "probe.mem");
+    REMORA_ASSERT(seg.ok());
+    rmem::SegmentId scratch = w.exportOn(0, "probe.scratch").descriptor;
+    sim.run();
+
+    net::FaultPlan plan;
+    plan.seed = seed;
+    plan.dropRate = kFaultDropRate;
+    w.network.installFaults(plan);
+
+    // Notified writes, sizes from one raw cell up to multi-cell frames.
+    constexpr int kWrites = 24;
+    std::vector<std::vector<uint8_t>> expected;
+    std::vector<sim::Task<util::Status>> writes;
+    for (int i = 0; i < kWrites; ++i) {
+        std::vector<uint8_t> data(16 + (i * 53) % 480);
+        for (size_t j = 0; j < data.size(); ++j) {
+            data[j] = static_cast<uint8_t>(i * 17 + j);
+        }
+        expected.push_back(data);
+        writes.push_back(engineA.write(
+            seg.value(), static_cast<uint32_t>(i) * 1024, data,
+            /*notify=*/true));
+    }
+    sim.run();
+
+    // Read a sample back through the same lossy link.
+    uint64_t readMismatches = 0;
+    std::vector<sim::Task<void>> reads;
+    for (int i = 0; i < kWrites; i += 3) {
+        std::vector<uint8_t> expect(expected[i].begin(),
+                                    expected[i].begin() + 16);
+        reads.push_back(readBack(&engineA, seg.value(), scratch,
+                                 static_cast<uint32_t>(i) * 1024,
+                                 std::move(expect), &readMismatches));
+    }
+    sim.run();
+
+    uint64_t undelivered = readMismatches;
+    for (auto &r : reads) {
+        if (!r.done()) {
+            ++undelivered; // read wedged: never completed
+        }
+    }
+    for (int i = 0; i < kWrites; ++i) {
+        if (!writes[i].done() || !writes[i].result().ok()) {
+            ++undelivered;
+            continue;
+        }
+        std::vector<uint8_t> got(expected[i].size());
+        if (!server.space()
+                 .read(base + static_cast<uint64_t>(i) * 1024, got)
+                 .ok() ||
+            got != expected[i]) {
+            ++undelivered;
+        }
+    }
+    auto *ch = engineB.channel(seg.value().descriptor);
+    REMORA_ASSERT(ch != nullptr);
+    rmem::Notification n;
+    int notifications = 0;
+    while (ch->tryNext(n)) {
+        ++notifications;
+    }
+    if (notifications < kWrites) {
+        undelivered += static_cast<uint64_t>(kWrites - notifications);
+    }
+
+    uint64_t abandoned =
+        engineA.wire().sendFailures() + engineB.wire().sendFailures();
+    if (abandoned > 0) {
+        std::fprintf(stderr,
+                     "remora_mc faults: wire abandoned %llu envelope(s)\n",
+                     static_cast<unsigned long long>(abandoned));
+    }
+    if (sim.blockedTaskCount() > 0) {
+        std::fprintf(stderr,
+                     "remora_mc faults: %zu coroutine(s) blocked at "
+                     "quiescence\n",
+                     sim.blockedTaskCount());
+    }
+
+    std::printf("seed=%llu digest=0x%016llx drops=%llu retransmits=%llu "
+                "undelivered=%llu\n",
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(sim.digest().value()),
+                static_cast<unsigned long long>(
+                    w.network.totalFaultDrops()),
+                static_cast<unsigned long long>(
+                    engineA.wire().retransmits() +
+                    engineB.wire().retransmits()),
+                static_cast<unsigned long long>(undelivered));
+    totals.drops += w.network.totalFaultDrops();
+    totals.undelivered += undelivered;
+    totals.failed = totals.failed || undelivered > 0 || abandoned > 0 ||
+                    sim.blockedTaskCount() > 0;
+}
+
+/**
+ * `remora_mc faults`: every seed, then
+ * `faults seeds=<N> drops=<M> undelivered=<U>`.
+ */
+int
+faultSweep()
+{
+    FaultTotals totals;
+    for (uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
+        faultSeed(seed, totals);
+    }
+    std::printf("faults seeds=%llu drops=%llu undelivered=%llu\n",
+                static_cast<unsigned long long>(kSweepSeeds),
+                static_cast<unsigned long long>(totals.drops),
+                static_cast<unsigned long long>(totals.undelivered));
+    return totals.failed ? 1 : 0;
+}
+
+// ----------------------------------------------------------------------
 // Registry and driver
 // ----------------------------------------------------------------------
 
@@ -404,28 +759,6 @@ choiceList(const std::vector<uint32_t> &v)
     return out + "]";
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 struct Options
 {
     sim::ExplorerOptions explorer;
@@ -442,8 +775,9 @@ usage(const char *argv0)
         "usage: %s [--list] [--json] [--metrics] [--max-schedules N]\n"
         "          [--step-budget N] [--no-reduction] [--no-shrink]\n"
         "          [workload...]\n"
+        "       %s race | faults\n"
         "default workloads: every clean registry entry\n",
-        argv0);
+        argv0, argv0);
     return 2;
 }
 
@@ -520,14 +854,14 @@ run(const Options &opts)
                 jsonOut += sim::HangReport::kindName(f.report.kind);
                 jsonOut += "\",\"schedule\":" + std::to_string(f.schedule);
                 jsonOut +=
-                    ",\"detail\":\"" + jsonEscape(f.report.detail) + "\"";
+                    ",\"detail\":\"" + util::jsonEscape(f.report.detail) + "\"";
                 jsonOut += ",\"parties\":[";
                 for (size_t p = 0; p < f.report.parties.size(); ++p) {
                     if (p != 0) {
                         jsonOut += ",";
                     }
                     jsonOut +=
-                        "\"" + jsonEscape(f.report.parties[p]) + "\"";
+                        "\"" + util::jsonEscape(f.report.parties[p]) + "\"";
                 }
                 jsonOut += "],\"choices\":" + choiceList(f.choices);
                 jsonOut += ",\"shrunk\":" + choiceList(f.shrunk) + "}";
@@ -581,6 +915,12 @@ run(const Options &opts)
 int
 main(int argc, char **argv)
 {
+    if (argc == 2 && std::strcmp(argv[1], "race") == 0) {
+        return remora::raceSweep();
+    }
+    if (argc == 2 && std::strcmp(argv[1], "faults") == 0) {
+        return remora::faultSweep();
+    }
     remora::Options opts;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
