@@ -18,8 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,40 +31,6 @@ using namespace remora;
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string
-readFile(const fs::path &p)
-{
-    std::ifstream in(p, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** All lintable files under the repo's scanned top-level directories. */
-std::vector<std::pair<std::string, std::string>>
-treeFiles(const fs::path &root)
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const char *top : {"src", "tests", "tools", "bench"}) {
-        if (!fs::exists(root / top)) {
-            continue;
-        }
-        for (const auto &entry :
-             fs::recursive_directory_iterator(root / top)) {
-            if (!entry.is_regular_file()) {
-                continue;
-            }
-            std::string rel =
-                fs::relative(entry.path(), root).generic_string();
-            if (!lint::shouldLint(rel)) {
-                continue;
-            }
-            out.emplace_back(rel, readFile(entry.path()));
-        }
-    }
-    return out;
-}
 
 /**
  * A fixed corpus exercising every analysis stage: one hazardous
@@ -132,7 +96,7 @@ main()
     bench::banner("remora-lint: whole-tree analysis throughput");
 
     const fs::path root(REMORA_SOURCE_DIR);
-    auto files = treeFiles(root);
+    auto files = lint::treeFiles(root);
     REMORA_ASSERT(files.size() > 100);
 
     // Warm-up pass keeps first-touch page faults out of the timed run

@@ -6,21 +6,27 @@
  *  - DxBackend ("DX"): pure data transfer. The clerk computes where the
  *    datum lives in the server's exported cache areas and fetches it
  *    with remote reads (writes go back with remote writes). The server
- *    *process* never runs; only its kernel data path does.
+ *    *process* never runs; only its kernel data path does. A miss
+ *    "transfers control to the remote process" through an internal
+ *    HyBackend.
  *  - HyBackend ("HY"): Hybrid-1. One remote write with notification
  *    carries the marshaled call; the woken server thread executes the
  *    procedure and remote-writes the reply.
  *  - RpcBackend: the conventional request/response RPC transport with
  *    the full six-step thread model (ablation baseline).
  *
- * All three speak the same marshaled call bodies and answer from the
- * same FileStore, so differences in latency and server load are pure
- * communication structure.
+ * Every control transfer is the same operation: encode an NFS call,
+ * send it, decode the reply. MarshaledBackend implements the eight ops
+ * that way once, over one call(body) primitive; HyBackend and
+ * RpcBackend differ only in how call() moves the body. All of them
+ * answer from the same FileStore, so differences in latency and server
+ * load are pure communication structure.
  */
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dfs/cache_layout.h"
@@ -79,6 +85,80 @@ class FileServiceBackend
     virtual const char *name() const = 0;
 };
 
+/**
+ * A backend whose every op is one marshaled call: encode the NFS call
+ * body, hand it to call(), decode the reply.
+ */
+class MarshaledBackend : public FileServiceBackend
+{
+  public:
+    sim::Task<util::Status> null() override;
+    sim::Task<util::Result<FileAttr>> getattr(FileHandle fh) override;
+    sim::Task<util::Result<LookupReply>> lookup(
+        FileHandle dir, std::string name) override;
+    sim::Task<util::Result<std::vector<uint8_t>>> read(
+        FileHandle fh, uint64_t offset, uint32_t count) override;
+    sim::Task<util::Status> write(FileHandle fh, uint64_t offset,
+                                  std::vector<uint8_t> data) override;
+    sim::Task<util::Result<std::string>> readlink(FileHandle fh) override;
+    sim::Task<util::Result<std::vector<DirEntry>>> readdir(
+        FileHandle fh, uint32_t maxBytes) override;
+    sim::Task<util::Result<FsStat>> statfs() override;
+
+  protected:
+    /** Issue one marshaled call and return its reply body. */
+    virtual sim::Task<util::Result<std::vector<uint8_t>>> call(
+        std::vector<uint8_t> body) = 0;
+};
+
+/** Hybrid-1 backend: marshaled calls over write-with-notification. */
+class HyBackend : public MarshaledBackend
+{
+  public:
+    /**
+     * @param client A bound Hybrid-1 client endpoint.
+     */
+    explicit HyBackend(rpc::Hybrid1Client &client) : client_(client) {}
+
+    const char *name() const override { return "hy"; }
+
+  protected:
+    sim::Task<util::Result<std::vector<uint8_t>>> call(
+        std::vector<uint8_t> body) override
+    {
+        return client_.call(std::move(body));
+    }
+
+  private:
+    rpc::Hybrid1Client &client_;
+};
+
+/** Conventional-RPC backend (six-step thread model baseline). */
+class RpcBackend : public MarshaledBackend
+{
+  public:
+    /**
+     * @param transport The client node's RPC transport.
+     * @param server The server's node id.
+     */
+    RpcBackend(rpc::RpcTransport &transport, net::NodeId server)
+        : transport_(transport), server_(server)
+    {}
+
+    const char *name() const override { return "rpc"; }
+
+  protected:
+    sim::Task<util::Result<std::vector<uint8_t>>> call(
+        std::vector<uint8_t> body) override
+    {
+        return transport_.call(server_, 1, std::move(body));
+    }
+
+  private:
+    rpc::RpcTransport &transport_;
+    net::NodeId server_;
+};
+
 /** Pure-data-transfer backend over the server's exported cache areas. */
 class DxBackend : public FileServiceBackend
 {
@@ -133,77 +213,13 @@ class DxBackend : public FileServiceBackend
     mem::Process &process_;
     ServerAreaHandles areas_;
     CacheGeometry geo_;
-    rpc::Hybrid1Client *fallback_;
+    /** Answers every miss; empty when no fallback was given. */
+    std::optional<HyBackend> fallback_;
     mem::Vaddr scratchBase_ = 0;
     rmem::SegmentId scratchSeg_ = 0;
     uint32_t scratchCursor_ = 0;
     uint64_t misses_ = 0;
     uint64_t windowShrinks_ = 0;
-};
-
-/** Hybrid-1 backend: marshaled calls over write-with-notification. */
-class HyBackend : public FileServiceBackend
-{
-  public:
-    /**
-     * @param client A bound Hybrid-1 client endpoint.
-     */
-    explicit HyBackend(rpc::Hybrid1Client &client) : client_(client) {}
-
-    sim::Task<util::Status> null() override;
-    sim::Task<util::Result<FileAttr>> getattr(FileHandle fh) override;
-    sim::Task<util::Result<LookupReply>> lookup(
-        FileHandle dir, std::string name) override;
-    sim::Task<util::Result<std::vector<uint8_t>>> read(
-        FileHandle fh, uint64_t offset, uint32_t count) override;
-    sim::Task<util::Status> write(FileHandle fh, uint64_t offset,
-                                  std::vector<uint8_t> data) override;
-    sim::Task<util::Result<std::string>> readlink(FileHandle fh) override;
-    sim::Task<util::Result<std::vector<DirEntry>>> readdir(
-        FileHandle fh, uint32_t maxBytes) override;
-    sim::Task<util::Result<FsStat>> statfs() override;
-    const char *name() const override { return "hy"; }
-
-  private:
-    /** Issue one marshaled call and return its reply body. */
-    sim::Task<util::Result<std::vector<uint8_t>>> roundTrip(
-        std::vector<uint8_t> body);
-
-    rpc::Hybrid1Client &client_;
-};
-
-/** Conventional-RPC backend (six-step thread model baseline). */
-class RpcBackend : public FileServiceBackend
-{
-  public:
-    /**
-     * @param transport The client node's RPC transport.
-     * @param server The server's node id.
-     */
-    RpcBackend(rpc::RpcTransport &transport, net::NodeId server)
-        : transport_(transport), server_(server)
-    {}
-
-    sim::Task<util::Status> null() override;
-    sim::Task<util::Result<FileAttr>> getattr(FileHandle fh) override;
-    sim::Task<util::Result<LookupReply>> lookup(
-        FileHandle dir, std::string name) override;
-    sim::Task<util::Result<std::vector<uint8_t>>> read(
-        FileHandle fh, uint64_t offset, uint32_t count) override;
-    sim::Task<util::Status> write(FileHandle fh, uint64_t offset,
-                                  std::vector<uint8_t> data) override;
-    sim::Task<util::Result<std::string>> readlink(FileHandle fh) override;
-    sim::Task<util::Result<std::vector<DirEntry>>> readdir(
-        FileHandle fh, uint32_t maxBytes) override;
-    sim::Task<util::Result<FsStat>> statfs() override;
-    const char *name() const override { return "rpc"; }
-
-  private:
-    sim::Task<util::Result<std::vector<uint8_t>>> roundTrip(
-        std::vector<uint8_t> body);
-
-    rpc::RpcTransport &transport_;
-    net::NodeId server_;
 };
 
 } // namespace remora::dfs

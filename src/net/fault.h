@@ -4,7 +4,7 @@
  *
  * The paper's §3.7 assumes the cluster never loses a cell; this module
  * deliberately breaks that assumption so the recovery machinery layered
- * above (wire sequencing/retransmission, RPC retry, DFS window degrade)
+ * above (wire sequencing/retransmission, DFS window degrade)
  * can be exercised and measured. A FaultInjector sits inside a Link's
  * transmit pump and, drawing from its own seeded PCG stream, may
  *

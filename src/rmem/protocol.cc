@@ -11,8 +11,6 @@ namespace {
 /** Flags packed into the high nibble of the first octet. */
 constexpr uint8_t kFlagNotify = 0x10;
 constexpr uint8_t kFlagRpcResponse = 0x20;
-/** RPC request carries an 8-byte idempotency key after the xid. */
-constexpr uint8_t kFlagRpcIdem = 0x40;
 
 uint8_t
 firstOctet(MsgType type, bool notify, bool rpcResponse = false)
@@ -190,15 +188,8 @@ encodeMessage(const Message &msg)
       }
       case MsgType::kRpc: {
         const auto &m = std::get<RpcMsg>(msg);
-        uint8_t first = firstOctet(MsgType::kRpc, false, m.isResponse);
-        if (m.idemKey != 0) {
-            first |= kFlagRpcIdem;
-        }
-        w.putU8(first);
+        w.putU8(firstOctet(MsgType::kRpc, false, m.isResponse));
         w.putU32(m.xid);
-        if (m.idemKey != 0) {
-            w.putU64(m.idemKey);
-        }
         w.putU32(static_cast<uint32_t>(m.body.size()));
         w.putBytes(m.body);
         break;
@@ -398,9 +389,6 @@ decodeBody(util::ByteReader &r)
         RpcMsg m;
         m.isResponse = (first & kFlagRpcResponse) != 0;
         m.xid = r.getU32();
-        if ((first & kFlagRpcIdem) != 0) {
-            m.idemKey = r.getU64();
-        }
         uint32_t count = r.getU32();
         auto data = r.viewBytes(count);
         if (!r.ok()) {

@@ -125,14 +125,6 @@ struct RpcMsg
 {
     uint32_t xid = 0;
     bool isResponse = false;
-    /**
-     * At-most-once idempotency key, 0 = none. Nonzero keys let the
-     * server dedup retried requests (fresh xid, same key) and replay
-     * the cached reply instead of re-executing the handler. Encoded
-     * only when nonzero, so retry-free traffic keeps the seed's wire
-     * format and sizes exactly.
-     */
-    uint64_t idemKey = 0;
     std::vector<uint8_t> body;
 };
 

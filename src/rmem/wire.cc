@@ -354,7 +354,7 @@ Wire::onRetransmitTimeout(net::NodeId dst, uint32_t seq)
     if (u.attempts >= relParams_.maxAttempts) {
         // At-most-once gives up here: the message may or may not have
         // been applied; the layers above own the user-visible outcome
-        // (engine timeouts, RPC retry budgets, DFS fallback).
+        // (engine and RPC timeouts, DFS fallback).
         sendFailures_.inc();
         node_.simulator().noteDigest(
             "wire.send_failure", (static_cast<uint64_t>(dst) << 32) | seq);

@@ -119,7 +119,7 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
                      sim::CpuCategory::kProcInvoke);
 
     std::vector<uint8_t> results = co_await proc_(src, std::move(args));
-    ++served_;
+    ++requestsServed_;
 
     // Return write(s): pure data transfer back to the client's reply
     // segment; the client spin-waits, so no notify bit.

@@ -75,7 +75,7 @@ class Hybrid1Server
     rmem::ImportedSegment requestSegmentHandle() const { return handle_; }
 
     /** Requests served. */
-    uint64_t served() const { return served_; }
+    uint64_t served() const { return requestsServed_; }
 
   private:
     /** The dispatch loop: wait, parse, run, reply. */
@@ -97,7 +97,7 @@ class Hybrid1Server
     rmem::ImportedSegment handle_;
     Proc proc_;
     uint32_t nextSlot_ = 0;
-    uint64_t served_ = 0;
+    uint64_t requestsServed_ = 0;
     bool started_ = false;
 };
 

@@ -33,7 +33,7 @@ RpcTransport::registerProc(uint32_t proc, Handler handler)
 
 sim::Task<util::Result<std::vector<uint8_t>>>
 RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
-                   sim::Duration timeout, int maxRetries)
+                   sim::Duration timeout)
 {
     stats_.callsIssued.inc();
     auto &cpu = wire_.node().cpu();
@@ -52,7 +52,6 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
     }
 
     // Step 1: block the client thread and reschedule its processor.
-    // Paid once — the thread stays blocked across retransmissions.
     obs::SpanId blockSpan = obs::kNoSpan;
     if (opId != 0) {
         blockSpan = obs::TraceRecorder::instance().beginSpanFor(
@@ -61,72 +60,37 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
     co_await cpu.use(costs_.clientBlock, sim::CpuCategory::kControlTransfer);
     obs::TraceRecorder::instance().endSpan(blockSpan);
 
-    // Marshal the request body once: every attempt sends it verbatim.
     Marshal m;
     m.putU32(proc);
     m.putOpaque(args);
-    std::vector<uint8_t> body = m.take();
 
-    // A retryable call carries a cluster-unique idempotency key so the
-    // server can collapse duplicate attempts into one execution.
-    uint64_t idemKey = 0;
-    if (maxRetries > 0) {
-        idemKey = static_cast<uint64_t>(wire_.node().id()) << 32 |
-                  nextIdemKey_++;
+    uint32_t xid = nextXid_++;
+    auto [it, inserted] = pending_.try_emplace(
+        xid, PendingCall{sim::Promise<util::Result<std::vector<uint8_t>>>(sim),
+                         0, opId});
+    REMORA_ASSERT(inserted);
+    auto fut = it->second.done.future();
+    if (timeout > 0) {
+        it->second.timeoutEvent = sim.schedule(timeout, [this, xid] {
+            auto pit = pending_.find(xid);
+            if (pit == pending_.end()) {
+                return;
+            }
+            PendingCall p = std::move(pit->second);
+            pending_.erase(pit);
+            stats_.timeouts.inc();
+            p.done.set(
+                util::Status(util::ErrorCode::kTimeout, "RPC timed out"));
+        });
     }
 
-    sim::Duration curTimeout = timeout;
-    util::Result<std::vector<uint8_t>> result =
-        util::Status(util::ErrorCode::kTimeout, "RPC timed out");
-    for (int attempt = 0;; ++attempt) {
-        uint32_t xid = nextXid_++;
-        auto [it, inserted] = pending_.try_emplace(
-            xid,
-            PendingCall{sim::Promise<util::Result<std::vector<uint8_t>>>(sim),
-                        0, opId});
-        REMORA_ASSERT(inserted);
-        auto fut = it->second.done.future();
-        if (curTimeout > 0) {
-            it->second.timeoutEvent = sim.schedule(curTimeout, [this, xid] {
-                auto pit = pending_.find(xid);
-                if (pit == pending_.end()) {
-                    return;
-                }
-                PendingCall p = std::move(pit->second);
-                pending_.erase(pit);
-                stats_.timeouts.inc();
-                p.done.set(util::Status(util::ErrorCode::kTimeout,
-                                        "RPC timed out"));
-            });
-        }
-
-        rmem::RpcMsg msg;
-        msg.xid = xid;
-        msg.isResponse = false;
-        msg.idemKey = idemKey;
-        msg.body = body;
-        wire_.send(dst, rmem::Message(std::move(msg)),
-                   sim::CpuCategory::kDataReply, opId);
-
-        result = co_await fut;
-        if (result.ok() || attempt >= maxRetries ||
-            result.status().code() != util::ErrorCode::kTimeout) {
-            break;
-        }
-
-        // Re-send with a fresh xid (the doubled timeout distinguishes a
-        // slow cluster from a dead peer); the old xid's reply, if it
-        // ever shows up, is counted as late and dropped.
-        stats_.retries.inc();
-        sim.noteDigest("rpc.retry", static_cast<uint64_t>(dst) << 32 | xid);
-        if (opId != 0) {
-            obs::TraceRecorder::instance().instantFor(
-                opId, wire_.node().name(), "rpc", "retry",
-                "attempt=" + std::to_string(attempt + 2));
-        }
-        curTimeout *= 2;
-    }
-    co_return result;
+    rmem::RpcMsg msg;
+    msg.xid = xid;
+    msg.isResponse = false;
+    msg.body = m.take();
+    wire_.send(dst, rmem::Message(std::move(msg)),
+               sim::CpuCategory::kDataReply, opId);
+    co_return co_await fut;
 }
 
 void
@@ -136,47 +100,15 @@ RpcTransport::onMessage(net::NodeId src, rmem::Message &&msg)
     if (rpc.isResponse) {
         completeCall(rpc.xid, std::move(rpc.body));
     } else {
-        serve(src, rpc.xid, rpc.idemKey, std::move(rpc.body)).detach();
+        serve(src, rpc.xid, std::move(rpc.body)).detach();
     }
 }
 
 sim::Task<void>
-RpcTransport::serve(net::NodeId src, uint32_t xid, uint64_t idemKey,
-                    std::vector<uint8_t> body)
+RpcTransport::serve(net::NodeId src, uint32_t xid, std::vector<uint8_t> body)
 {
     stats_.callsServed.inc();
     auto &cpu = wire_.node().cpu();
-
-    // At-most-once: a request bearing a known idempotency key must not
-    // re-run the handler, no matter how many duplicate attempts arrive.
-    if (idemKey != 0) {
-        auto dit = served_.find(idemKey);
-        if (dit != served_.end()) {
-            stats_.dedupHits.inc();
-            wire_.node().simulator().noteDigest("rpc.dedup", idemKey);
-            if (!dit->second.done) {
-                // Handler still running from an earlier attempt: pin
-                // the freshest xid so the eventual reply resolves the
-                // attempt the client is actually waiting on.
-                dit->second.latestXid = xid;
-                co_return;
-            }
-            // Replay the cached reply. Charge packet processing and the
-            // return path, but no dispatch or handler execution.
-            std::vector<uint8_t> cached = dit->second.reply;
-            co_await cpu.use(costs_.serverPacket + costs_.serverReturn +
-                                 2 * wire_.costs().copyCost(cached.size()),
-                             sim::CpuCategory::kControlTransfer);
-            rmem::RpcMsg replay;
-            replay.xid = xid;
-            replay.isResponse = true;
-            replay.body = std::move(cached);
-            wire_.send(src, rmem::Message(std::move(replay)),
-                       sim::CpuCategory::kDataReply);
-            co_return;
-        }
-        served_.try_emplace(idemKey, DedupEntry{false, xid, {}});
-    }
 
     // Body runs eagerly under route()'s OpScope; capture the op now,
     // before the first suspension loses the ambient context.
@@ -228,17 +160,6 @@ RpcTransport::serve(net::NodeId src, uint32_t xid, uint64_t idemKey,
     msg.isResponse = true;
     msg.body = reply.take();
 
-    // Cache the reply and answer the freshest attempt: duplicates that
-    // raced in while the handler ran updated latestXid above. Re-find
-    // the entry — the map may have rehashed during the suspensions.
-    if (idemKey != 0) {
-        auto dit = served_.find(idemKey);
-        REMORA_ASSERT(dit != served_.end());
-        dit->second.done = true;
-        dit->second.reply = msg.body;
-        msg.xid = dit->second.latestXid;
-    }
-
     // Step 4: reschedule the server's processor on return, plus the
     // socket-layer copies of the reply on the way out.
     co_await cpu.use(costs_.serverReturn +
@@ -254,8 +175,8 @@ RpcTransport::completeCall(uint32_t xid, std::vector<uint8_t> body)
 {
     auto it = pending_.find(xid);
     if (it == pending_.end()) {
-        // The call already timed out (and possibly retried under a
-        // fresh xid); count the drop instead of hiding it.
+        // The call already timed out; count the drop instead of
+        // hiding it.
         stats_.lateReplies.inc();
         wire_.node().simulator().noteDigest("rpc.late_reply", xid);
         if (obs::TraceRecorder::on()) {
@@ -309,9 +230,7 @@ RpcTransport::registerStats(obs::MetricRegistry &reg,
     reg.add(prefix + ".calls_served", stats_.callsServed);
     reg.add(prefix + ".timeouts", stats_.timeouts);
     reg.add(prefix + ".bad_proc", stats_.badProc);
-    reg.add(prefix + ".retries", stats_.retries);
     reg.add(prefix + ".late_replies", stats_.lateReplies);
-    reg.add(prefix + ".dedup_hits", stats_.dedupHits);
 }
 
 } // namespace remora::rpc

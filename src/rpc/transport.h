@@ -65,12 +65,8 @@ struct RpcStats
     sim::Counter callsServed;
     sim::Counter timeouts;
     sim::Counter badProc;
-    /** Timed-out attempts re-sent with a fresh xid (same idemKey). */
-    sim::Counter retries;
     /** Replies that arrived after their call had already timed out. */
     sim::Counter lateReplies;
-    /** Requests answered from the dedup cache without re-execution. */
-    sim::Counter dedupHits;
 };
 
 /** Request/response RPC endpoint bound to a node's Wire. */
@@ -107,24 +103,19 @@ class RpcTransport
      * @param proc Procedure number (must be registered there).
      * @param args Marshaled arguments.
      * @param timeout Zero = wait forever; otherwise resolve kTimeout.
-     *        With maxRetries == 0 this keeps the seed's §3.7 semantics:
-     *        no retransmission, a timeout means the peer is gone.
-     * @param maxRetries Bounded retry budget for lossy clusters: each
-     *        timed-out attempt is re-sent with a fresh xid and a shared
-     *        idempotency key (the timeout doubling per attempt), so the
-     *        server can collapse duplicates and replay the cached reply
-     *        instead of re-executing the handler. At-most-once: after
-     *        the budget is spent the call resolves kTimeout, and the
-     *        handler has run at most one time.
+     *        The request is sent once: a timeout means the peer is gone
+     *        (§3.7). Cell loss is the wire's to repair
+     *        (Wire::enableReliability), which delivers each request at
+     *        most once and in order.
      */
     sim::Task<util::Result<std::vector<uint8_t>>> call(
         net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
-        sim::Duration timeout = 0, int maxRetries = 0);
+        sim::Duration timeout = 0);
 
     /** Counters. */
     const RpcStats &stats() const { return stats_; }
 
-    /** Register "<prefix>.calls_issued", "<prefix>.retries" etc. */
+    /** Register "<prefix>.calls_issued", "<prefix>.timeouts" etc. */
     void registerStats(obs::MetricRegistry &reg,
                        const std::string &prefix) const;
 
@@ -137,25 +128,11 @@ class RpcTransport
         uint64_t traceOp = 0;
     };
 
-    /**
-     * At-most-once record of one idempotency key. While the handler is
-     * still running the entry pins only the freshest xid; once done it
-     * caches the reply so retransmitted requests can be answered
-     * without re-execution. Entries live for the run: forgetting a
-     * completed key would let a very late duplicate re-run the handler.
-     */
-    struct DedupEntry
-    {
-        bool done = false;
-        uint32_t latestXid = 0;
-        std::vector<uint8_t> reply;
-    };
-
     /** Wire delivery of RPC envelope messages. */
     void onMessage(net::NodeId src, rmem::Message &&msg);
 
-    /** Server side: dedup, then run steps 2-4 and the handler. */
-    sim::Task<void> serve(net::NodeId src, uint32_t xid, uint64_t idemKey,
+    /** Server side: run steps 2-4 and the handler. */
+    sim::Task<void> serve(net::NodeId src, uint32_t xid,
                           std::vector<uint8_t> body);
 
     /** Client side: run steps 5-6 and resolve the caller. */
@@ -165,9 +142,7 @@ class RpcTransport
     ThreadModelCosts costs_;
     std::unordered_map<uint32_t, Handler> procs_;
     std::unordered_map<uint32_t, PendingCall> pending_;
-    std::unordered_map<uint64_t, DedupEntry> served_;
     uint32_t nextXid_ = 1;
-    uint64_t nextIdemKey_ = 1;
     RpcStats stats_;
 };
 

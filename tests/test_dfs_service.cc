@@ -128,7 +128,8 @@ struct DfsFixture
     dfs::FileHandle dir;
     dfs::FileHandle link;
 
-    DfsFixture()
+    /** @param warm Fill the server's exported cache areas. */
+    explicit DfsFixture(bool warm = true)
         : server(cluster.engineB, store),
           clerkProc(cluster.nodeA.spawnProcess("clerk")),
           hyClient(cluster.engineA, clerkProc, server.hybridHandle(),
@@ -155,7 +156,9 @@ struct DfsFixture
         EXPECT_TRUE(l.ok());
         link = l.value();
 
-        server.warmCaches();
+        if (warm) {
+            server.warmCaches();
+        }
         server.start();
         server.attachRpcTransport(serverRpc);
         cluster.sim.run();
@@ -334,6 +337,56 @@ TEST(DfsMiss, UncachedFileFallsBackToControlTransfer)
     auto data = runToCompletion(f.cluster.sim, rd);
     ASSERT_TRUE(data.ok());
     EXPECT_EQ(data.value(), f.store.read(fresh.value(), 0, 3000).value());
+}
+
+TEST(DfsMiss, ColdServerAnswersEveryOpThroughTheFallback)
+{
+    // Started but never warmed: every DX probe misses, and each miss
+    // must transfer control through the Hybrid-1 fallback.
+    DfsFixture f(/*warm=*/false);
+    auto &sim = f.cluster.sim;
+
+    auto attr = f.dx.getattr(f.file);
+    auto gotAttr = runToCompletion(sim, attr);
+    ASSERT_TRUE(gotAttr.ok()) << gotAttr.status().toString();
+    EXPECT_EQ(gotAttr.value().size, f.store.getattr(f.file).value().size);
+    EXPECT_EQ(f.dx.misses(), 1u);
+
+    auto look = f.dx.lookup(f.dir, "paper.ps");
+    auto gotLook = runToCompletion(sim, look);
+    ASSERT_TRUE(gotLook.ok()) << gotLook.status().toString();
+    EXPECT_EQ(gotLook.value().fh.key(), f.file.key());
+    EXPECT_EQ(f.dx.misses(), 2u);
+
+    auto rd = f.dx.read(f.file, 100, 5000);
+    auto gotRead = runToCompletion(sim, rd);
+    ASSERT_TRUE(gotRead.ok()) << gotRead.status().toString();
+    EXPECT_EQ(gotRead.value(), f.store.read(f.file, 100, 5000).value());
+    EXPECT_EQ(f.dx.misses(), 3u);
+
+    auto rl = f.dx.readlink(f.link);
+    auto gotLink = runToCompletion(sim, rl);
+    ASSERT_TRUE(gotLink.ok()) << gotLink.status().toString();
+    EXPECT_EQ(gotLink.value(), f.store.readlink(f.link).value());
+    EXPECT_EQ(f.dx.misses(), 4u);
+
+    auto rdir = f.dx.readdir(f.dir, 4096);
+    auto gotDir = runToCompletion(sim, rdir);
+    ASSERT_TRUE(gotDir.ok()) << gotDir.status().toString();
+    auto truthDir = f.store.readdir(f.dir).value();
+    ASSERT_EQ(gotDir.value().size(), truthDir.size());
+    for (size_t i = 0; i < truthDir.size(); ++i) {
+        EXPECT_EQ(gotDir.value()[i].name, truthDir[i].name);
+        EXPECT_EQ(gotDir.value()[i].fileid, truthDir[i].fileid);
+    }
+    EXPECT_EQ(f.dx.misses(), 5u);
+
+    auto st = f.dx.statfs();
+    auto gotStat = runToCompletion(sim, st);
+    ASSERT_TRUE(gotStat.ok()) << gotStat.status().toString();
+    EXPECT_EQ(gotStat.value().totalFiles, f.store.statfs().totalFiles);
+    EXPECT_EQ(gotStat.value().freeBytes, f.store.statfs().freeBytes);
+    EXPECT_EQ(f.dx.misses(), 6u);
 }
 
 TEST(DfsMiss, WithoutFallbackMissSurfacesNotFound)

@@ -15,10 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "layers.h"
@@ -28,40 +26,6 @@ namespace remora::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string
-readFile(const fs::path &p)
-{
-    std::ifstream in(p, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** All lintable files under the repo's scanned top-level directories. */
-std::vector<std::pair<std::string, std::string>>
-treeFiles(const fs::path &root)
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const char *top : {"src", "tests", "tools", "bench"}) {
-        if (!fs::exists(root / top)) {
-            continue;
-        }
-        for (const auto &entry :
-             fs::recursive_directory_iterator(root / top)) {
-            if (!entry.is_regular_file()) {
-                continue;
-            }
-            std::string rel =
-                fs::relative(entry.path(), root).generic_string();
-            if (!shouldLint(rel)) {
-                continue;
-            }
-            out.emplace_back(rel, readFile(entry.path()));
-        }
-    }
-    return out;
-}
 
 TEST(LintClean, TreeHasNoErrorSeverityFindings)
 {

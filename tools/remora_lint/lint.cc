@@ -1,6 +1,7 @@
 #include "lint.h"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -934,6 +935,43 @@ shouldLint(std::string_view relPath)
                    0;
     };
     return ends(".h") || ends(".cc") || ends(".cpp") || ends(".hpp");
+}
+
+std::optional<std::string>
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        return std::nullopt;
+    }
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+std::vector<std::pair<std::string, std::string>>
+treeFiles(const std::filesystem::path &root)
+{
+    namespace fs = std::filesystem;
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const char *top : {"src", "tests", "tools", "bench"}) {
+        if (!fs::exists(root / top)) {
+            continue;
+        }
+        for (const auto &entry :
+             fs::recursive_directory_iterator(root / top)) {
+            if (!entry.is_regular_file()) {
+                continue;
+            }
+            std::string rel =
+                fs::relative(entry.path(), root).generic_string();
+            if (!shouldLint(rel)) {
+                continue;
+            }
+            out.emplace_back(rel, readFile(entry.path()).value_or(""));
+        }
+    }
+    return out;
 }
 
 } // namespace remora::lint

@@ -47,8 +47,11 @@
  */
 #pragma once
 
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace remora::lint {
@@ -231,6 +234,17 @@ Options optionsForPath(std::string_view relPath);
 
 /** True when @p relPath is a file remora-lint should scan (.h/.cc/.cpp). */
 bool shouldLint(std::string_view relPath);
+
+/** A whole file's bytes; nullopt when it cannot be read. */
+std::optional<std::string> readFile(const std::filesystem::path &path);
+
+/**
+ * Every file shouldLint() accepts under @p root's src/, tests/, tools/
+ * and bench/, as (repo-relative path, text) pairs: the tree that
+ * `remora_lint --root <root> src tests tools bench` scans.
+ */
+std::vector<std::pair<std::string, std::string>>
+treeFiles(const std::filesystem::path &root);
 
 /**
  * Findings as a machine-readable JSON array:

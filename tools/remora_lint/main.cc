@@ -21,10 +21,10 @@
  */
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "layers.h"
@@ -33,20 +33,6 @@
 namespace fs = std::filesystem;
 
 namespace {
-
-/** Read a whole file; returns false on I/O failure. */
-bool
-readFile(const fs::path &p, std::string *out)
-{
-    std::ifstream in(p, std::ios::binary);
-    if (!in) {
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    *out = ss.str();
-    return true;
-}
 
 void
 listRules()
@@ -128,11 +114,12 @@ main(int argc, char **argv)
             if (!remora::lint::shouldLint(rel)) {
                 continue;
             }
-            std::string text;
-            if (!readFile(file, &text)) {
+            std::optional<std::string> read = remora::lint::readFile(file);
+            if (!read) {
                 std::cerr << "remora-lint: cannot read " << file << "\n";
                 return 2;
             }
+            std::string text = std::move(*read);
             ++files;
             auto findings = remora::lint::lintSource(
                 rel, text, remora::lint::optionsForPath(rel));

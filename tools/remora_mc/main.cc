@@ -292,26 +292,28 @@ lossyWriteWorkload(sim::Simulator &s)
     REMORA_ASSERT(w.engines[1]->wire().sendFailures() == 0);
 }
 
-/** One retried RPC call; the reply must echo the tag. */
+/** One RPC call; the reply must echo the tag. */
 sim::Task<void>
 lossyRpcCall(rpc::RpcTransport *c, uint8_t tag)
 {
     std::vector<uint8_t> args(1, tag);
-    auto r = co_await c->call(1, 3, args, sim::msec(3), /*maxRetries=*/10);
+    auto r = co_await c->call(1, 3, args);
     REMORA_ASSERT(r.ok());
     REMORA_ASSERT(r.value()[0] == tag);
 }
 
 /**
- * Retried RPC across a dropping link with wire reliability OFF: the
- * transport's at-most-once layer alone must recover — every call
- * completes, and the handler runs exactly once per logical call no
- * matter how timeouts, duplicates, and late replies interleave.
+ * RPC across a dropping link over the reliable wire, the one
+ * at-most-once layer: every call completes, and the handler runs
+ * exactly once per call no matter how retransmissions, acks and
+ * replies interleave.
  */
 void
 lossyRpcWorkload(sim::Simulator &s)
 {
     World w(s, 2);
+    w.engines[0]->wire().enableReliability();
+    w.engines[1]->wire().enableReliability();
     rpc::RpcTransport server(w.engines[0]->wire());
     rpc::RpcTransport client(w.engines[1]->wire());
     int handlerRuns = 0;
@@ -330,6 +332,8 @@ lossyRpcWorkload(sim::Simulator &s)
     s.run();
     REMORA_ASSERT(t1.done() && t2.done());
     REMORA_ASSERT(handlerRuns == 2);
+    REMORA_ASSERT(w.engines[0]->wire().sendFailures() == 0);
+    REMORA_ASSERT(w.engines[1]->wire().sendFailures() == 0);
 }
 
 // ----------------------------------------------------------------------
