@@ -2,9 +2,15 @@
  * @file
  * Vectored meta-instructions: wire protocol round-trips, batch
  * building, end-to-end writev/readv/casv across two nodes, single-frame
- * accounting, per-batch validation caching, and doorbell coalescing.
+ * accounting, per-batch validation caching, doorbell coalescing, and
+ * the import check scalar ops and batched sub-ops share (same code,
+ * same text).
  */
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+#include <utility>
 
 #include "cluster_fixture.h"
 #include "rmem/engine.h"
@@ -687,6 +693,157 @@ TEST(VectorOps, ReaderSideNotifyCoalescesAcrossReadSubOps)
     // All three deposit notifications arrive through one doorbell.
     EXPECT_EQ(delivered, 3u);
     EXPECT_EQ(c.engineA.stats().vectorDoorbells.value(), 1u);
+}
+
+
+// ----------------------------------------------------------------------
+// One import check: scalar ops and batched sub-ops fail alike
+// ----------------------------------------------------------------------
+
+/** One import-side failure of one meta-instruction kind. */
+struct ImportFailure
+{
+    const char *name;
+    rmem::VecOpKind kind;
+    /** Rights of the (remote) import handle. */
+    rmem::Rights rights;
+    uint32_t offset;
+    util::ErrorCode code;
+    const char *message;
+};
+
+void
+PrintTo(const ImportFailure &f, std::ostream *os)
+{
+    *os << f.name;
+}
+
+class ImportCheck : public ::testing::TestWithParam<ImportFailure>
+{
+};
+
+TEST_P(ImportCheck, ScalarAndBatchedRejectWithSameCodeAndText)
+{
+    const ImportFailure &f = GetParam();
+    TwoNodeCluster c;
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    auto local = makeSegment(c.engineA, client, 4096);
+    rmem::ImportedSegment remote{2, 1, 1, 4096, f.rights};
+    constexpr uint16_t kBytes = 16;
+
+    util::Status scalar;
+    util::Status batched;
+    rmem::BatchBuilder b(c.engineA);
+    switch (f.kind) {
+      case rmem::VecOpKind::kWrite: {
+        auto task = c.engineA.write(remote, f.offset,
+                                    std::vector<uint8_t>(kBytes, 1));
+        scalar = runToCompletion(c.sim, task);
+        batched = b.addWrite(
+            {remote, f.offset, std::vector<uint8_t>(kBytes, 1), false});
+        break;
+      }
+      case rmem::VecOpKind::kRead: {
+        auto task = c.engineA.read(remote, f.offset, local.descriptor, 0,
+                                   kBytes);
+        scalar = runToCompletion(c.sim, task).status;
+        batched = b.addRead(
+            {remote, f.offset, local.descriptor, 0, kBytes, false});
+        break;
+      }
+      case rmem::VecOpKind::kCas: {
+        auto task = c.engineA.cas(remote, f.offset, 0, 1, local.descriptor,
+                                  0);
+        scalar = runToCompletion(c.sim, task).status;
+        batched = b.addCas({remote, f.offset, 0, 1, local.descriptor, 0});
+        break;
+      }
+    }
+    EXPECT_EQ(scalar.code(), f.code);
+    EXPECT_EQ(scalar.message(), f.message);
+    EXPECT_EQ(batched.code(), f.code);
+    EXPECT_EQ(batched.message(), f.message);
+    EXPECT_TRUE(b.empty());
+    // Nothing reached the wire.
+    EXPECT_EQ(c.engineA.wire().messagesSent(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKind, ImportCheck,
+    ::testing::Values(
+        ImportFailure{"WriteNoRight", rmem::VecOpKind::kWrite,
+                      rmem::Rights::kRead | rmem::Rights::kCas, 0,
+                      util::ErrorCode::kAccessDenied,
+                      "import lacks write right"},
+        ImportFailure{"WriteOutOfBounds", rmem::VecOpKind::kWrite,
+                      rmem::Rights::kAll, 4090,
+                      util::ErrorCode::kOutOfBounds,
+                      "write outside imported segment"},
+        ImportFailure{"ReadNoRight", rmem::VecOpKind::kRead,
+                      rmem::Rights::kWrite | rmem::Rights::kCas, 0,
+                      util::ErrorCode::kAccessDenied,
+                      "import lacks read right"},
+        ImportFailure{"ReadOutOfBounds", rmem::VecOpKind::kRead,
+                      rmem::Rights::kAll, 4090,
+                      util::ErrorCode::kOutOfBounds,
+                      "read outside imported segment"},
+        ImportFailure{"CasNoRight", rmem::VecOpKind::kCas,
+                      rmem::Rights::kRead | rmem::Rights::kWrite, 0,
+                      util::ErrorCode::kAccessDenied,
+                      "import lacks CAS right"},
+        ImportFailure{"CasOutOfBounds", rmem::VecOpKind::kCas,
+                      rmem::Rights::kAll, 4096,
+                      util::ErrorCode::kOutOfBounds, "CAS target invalid"},
+        ImportFailure{"CasMisaligned", rmem::VecOpKind::kCas,
+                      rmem::Rights::kAll, 2, util::ErrorCode::kOutOfBounds,
+                      "CAS target invalid"}),
+    [](const ::testing::TestParamInfo<ImportFailure> &param) {
+        return std::string(param.param.name);
+    });
+
+// ----------------------------------------------------------------------
+// Scalar local-landing checks
+// ----------------------------------------------------------------------
+
+TEST(ScalarLanding, ReadRejectsBadOrShortLocalDestination)
+{
+    TwoNodeCluster c;
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    auto local = makeSegment(c.engineA, client, 4096);
+    rmem::ImportedSegment remote{2, 1, 1, 4096, rmem::Rights::kAll};
+
+    // No segment exported in that slot.
+    auto noSeg = c.engineA.read(remote, 0, /*dstSeg=*/200, 0, 16);
+    util::Status s = runToCompletion(c.sim, noSeg).status;
+    EXPECT_EQ(s.code(), util::ErrorCode::kBadDescriptor);
+    EXPECT_EQ(s.message(), "bad local destination segment");
+
+    // The data would spill past the local segment's end.
+    auto spill = c.engineA.read(remote, 0, local.descriptor, 4090, 16);
+    s = runToCompletion(c.sim, spill).status;
+    EXPECT_EQ(s.code(), util::ErrorCode::kOutOfBounds);
+    EXPECT_EQ(s.message(), "destination outside local segment");
+    EXPECT_EQ(c.engineA.wire().messagesSent(), 0u);
+}
+
+TEST(ScalarLanding, CasRejectsInvalidResultLocation)
+{
+    TwoNodeCluster c;
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    auto local = makeSegment(c.engineA, client, 4096);
+    rmem::ImportedSegment remote{2, 1, 1, 4096, rmem::Rights::kAll};
+
+    // A missing segment, a misaligned word and a word past the end all
+    // draw the same failure.
+    for (auto [seg, off] : {std::pair<rmem::SegmentId, uint32_t>{200, 0},
+                            {local.descriptor, 2},
+                            {local.descriptor, 4096}}) {
+        auto task = c.engineA.cas(remote, 0, 0, 1, seg, off);
+        util::Status s = runToCompletion(c.sim, task).status;
+        EXPECT_EQ(s.code(), util::ErrorCode::kInvalidArgument);
+        EXPECT_EQ(s.message(), "CAS result location invalid");
+    }
+    EXPECT_EQ(c.engineA.wire().messagesSent(), 0u);
 }
 
 } // namespace
