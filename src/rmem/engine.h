@@ -26,12 +26,14 @@
  *  - notification fires only when the segment's policy combined with
  *    the request's notify bit asks for control transfer.
  *
- * Scalar and vectored requests share one path: a scalar READ/WRITE/CAS
- * is served as a sub-op batch of one through the same executor and
- * notify decision, and completed through the same pending table and
- * deposit function. Only the framing differs (stage-1 charge, reply
- * and notification order, NAK versus per-sub-op status); DESIGN.md §13
- * "One serve path" lists what stays per framing and why.
+ * Scalar and vectored requests share one path on each side. Issued,
+ * each passes one import check (checkImport) and one issue skeleton
+ * (beginIssue/endIssue: trace op, trap charge, phase record). Served, a
+ * scalar READ/WRITE/CAS is a sub-op batch of one through the same
+ * executor, notify decision, pending table and deposit function. Only
+ * the framing differs (encoding, charges, reply and notification
+ * order, NAK versus per-sub-op status); DESIGN.md §13 "One issue path"
+ * and "One serve path" list what stays per framing and why.
  */
 #pragma once
 
@@ -245,24 +247,7 @@ class RmemEngine
     // Vectored meta-instructions (initiator side)
     // ------------------------------------------------------------------
 
-    /**
-     * Issue a pre-assembled batch as ONE vectored meta-instruction:
-     * one trap + header + validation charge plus a small marginal cost
-     * per sub-op, one wire message, and (for READ/CAS batches) one
-     * response frame. Upper layers normally assemble the batch through
-     * BatchBuilder, which performs the import-side checks at add time.
-     *
-     * Pure-write batches complete locally like scalar write(); target-
-     * side failures arrive as NAKs. Batches carrying a READ or CAS
-     * resolve when the response has been deposited, with per-sub-op
-     * statuses in VectorOutcome::results.
-     *
-     * @param batch Sub-ops for one target node plus local deposit
-     *        coordinates (parallel arrays).
-     * @param timeout Zero = wait forever (response-carrying batches).
-     */
-    sim::Task<VectorOutcome> issueVector(VectorBatch batch,
-                                         sim::Duration timeout = 0);
+    // Each issues its ops through one BatchBuilder, the general form.
 
     /** Vectored WRITE: all ops in one frame, local completion. */
     sim::Task<util::Status> writev(std::vector<BatchBuilder::Write> ops);
@@ -305,6 +290,48 @@ class RmemEngine
                        const std::string &prefix) const;
 
   private:
+    friend class BatchBuilder;
+
+    /**
+     * Issue a batch BatchBuilder admitted (non-empty, every sub-op past
+     * checkImport and the frame budgets) as ONE vectored meta-
+     * instruction: one wire message and, for READ/CAS batches, one
+     * response frame. A pure-write batch completes locally like write().
+     */
+    sim::Task<VectorOutcome> issueVector(VectorBatch batch,
+                                         sim::Duration timeout);
+
+    /** One meta-instruction in flight on the initiator side. */
+    struct IssuedOp
+    {
+        /** Trace name ("write", "read", "cas", "vector") and stats. */
+        const char *name = nullptr;
+        OpPhaseStats *phases = nullptr;
+        sim::Time start = 0;
+        /** Async trace op; 0 when tracing is off. */
+        uint64_t traceId = 0;
+    };
+
+    /** Count and digest a scalar op, then run its checkImport. */
+    util::Status admitScalar(VecOpKind kind, const ImportedSegment &seg,
+                             uint32_t offset, uint64_t bytes);
+
+    /**
+     * Open the issue skeleton: open the async trace op (@p detail is
+     * rendered only while tracing) and charge the trap + validation,
+     * plus @p subOps marginal sub-op costs, inside its "issue" span.
+     */
+    template <typename Detail>
+    sim::Task<IssuedOp> beginIssue(const char *name, OpPhaseStats *phases,
+                                   size_t subOps, Detail detail);
+
+    /**
+     * Close it: record a successful op's latency and modeled phases,
+     * then end its trace op (with the failure text, if any).
+     */
+    void endIssue(const IssuedOp &op, const util::Status &status,
+                  sim::Duration wireTime, sim::Duration controllerTime);
+
     /** Resolved local landing spot of one READ/CAS sub-op. */
     struct VectorDeposit
     {
@@ -421,10 +448,6 @@ class RmemEngine
      * is attached.
      */
     sim::Duration modelWireTime(size_t cellsOut, size_t cellsBack) const;
-
-    /** Record one completed op's latency and phase decomposition. */
-    void recordOp(OpPhaseStats &op, sim::Time start, sim::Duration wireTime,
-                  sim::Duration controllerTime);
 
     mem::Node &node_;
     CostModel costs_;

@@ -56,6 +56,9 @@ enum class VecOpKind : uint8_t
 /** Most sub-ops one kVectorOp message may carry. */
 inline constexpr size_t kMaxVectorOps = 64;
 
+/** Frame header of kVectorOp and kVectorResp: type, reqId, opCount. */
+inline constexpr size_t kVectorHeaderBytes = 4;
+
 /** One sub-op as it travels on the wire. */
 struct VectorSubOp
 {
@@ -107,8 +110,6 @@ struct VectorResp
 /** Initiator-side deposit coordinates of one READ/CAS sub-op. */
 struct VectorLocalDeposit
 {
-    /** True for READ/CAS sub-ops (something lands locally). */
-    bool active = false;
     /** Local destination segment / offset. */
     SegmentId dstSeg = 0;
     uint32_t dstOff = 0;
@@ -116,7 +117,7 @@ struct VectorLocalDeposit
     bool notify = false;
 };
 
-/** A fully-assembled batch, ready for RmemEngine::issueVector(). */
+/** A fully-assembled batch, as BatchBuilder hands it to the engine. */
 struct VectorBatch
 {
     net::NodeId target = 0;
@@ -136,6 +137,18 @@ struct VectorOutcome
 
 /** Rights a sub-op of @p kind needs at the target. */
 Rights vecOpRights(VecOpKind kind);
+
+/** Bytes a sub-op touches at the target (4 for a CAS word). */
+uint64_t subOpBytes(const VectorSubOp &sub);
+
+/**
+ * The one import check of every meta-instruction, scalar or batched:
+ * @p seg must grant the rights a @p kind op needs, [offset, offset +
+ * bytes) must lie inside it, and a CAS target must be word-aligned.
+ * Fails with kAccessDenied or kOutOfBounds and the kind's own text.
+ */
+util::Status checkImport(const ImportedSegment &seg, VecOpKind kind,
+                         uint32_t offset, uint64_t bytes);
 
 /** Encoded wire size of a VectorReq (for frame budgeting). */
 size_t encodedVectorSize(const VectorReq &req);
@@ -193,9 +206,10 @@ size_t distinctValidationKeys(const std::vector<VectorSubOp> &ops);
 
 /**
  * Opt-in builder upper layers use to gather sub-ops for one target
- * node. Import-side checks (rights, bounds, frame budget, single
- * target) run at add time so a bad op is rejected before anything hits
- * the wire; issue() hands the batch to RmemEngine::issueVector().
+ * node. Import-side checks (checkImport, then frame budget, op cap and
+ * single target) run at add time so a bad op is rejected before
+ * anything hits the wire; issue() hands the admitted batch to the
+ * engine's one vectored issue path.
  */
 class BatchBuilder
 {
@@ -253,7 +267,7 @@ class BatchBuilder
     bool wantsResponse() const;
 
     /** Current encoded request size in bytes. */
-    size_t wireBytes() const;
+    size_t wireBytes() const { return wireBytes_; }
 
     /**
      * Issue the gathered batch as one vectored meta-instruction and
@@ -264,14 +278,19 @@ class BatchBuilder
     sim::Task<VectorOutcome> issue(sim::Duration timeout = 0);
 
   private:
-    /** Check the batch stays single-target and within frame budget. */
-    util::Status admit(const ImportedSegment &seg, size_t opBytes,
-                       size_t respBytes);
+    /**
+     * The add* tail: check @p sub against its import @p seg, keep the
+     * batch single-target and within the op cap and both frame
+     * budgets, then append it with its local landing spot.
+     */
+    util::Status add(const ImportedSegment &seg, VectorSubOp sub,
+                     VectorLocalDeposit local);
 
     RmemEngine &engine_;
     VectorBatch batch_;
-    bool haveTarget_ = false;
-    size_t respBytes_ = 0;
+    /** Encoded request and worst-case response bytes so far. */
+    size_t wireBytes_ = kVectorHeaderBytes;
+    size_t respBytes_ = kVectorHeaderBytes;
 };
 
 } // namespace remora::rmem
