@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
-#include "util/json.h"
 #include "util/panic.h"
 
 namespace remora::sim {
@@ -106,151 +103,6 @@ Histogram::reset()
     underflow_ = overflow_ = nan_ = total_ = 0;
     min_ = std::numeric_limits<double>::infinity();
     max_ = -std::numeric_limits<double>::infinity();
-}
-
-namespace {
-
-std::string
-renderCounter(const void *obj)
-{
-    const auto *c = static_cast<const Counter *>(obj);
-    return std::to_string(c->value());
-}
-
-std::string
-renderAccumulator(const void *obj)
-{
-    const auto *a = static_cast<const Accumulator *>(obj);
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "count=%llu mean=%.3f min=%.3f max=%.3f stddev=%.3f",
-                  static_cast<unsigned long long>(a->count()), a->mean(),
-                  a->count() ? a->min() : 0.0, a->count() ? a->max() : 0.0,
-                  a->stddev());
-    return buf;
-}
-
-std::string
-renderHistogram(const void *obj)
-{
-    const auto *h = static_cast<const Histogram *>(obj);
-    char buf[200];
-    if (h->total() == 0) {
-        std::snprintf(buf, sizeof(buf), "count=0");
-        return buf;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "count=%llu p50=%.3f p90=%.3f p99=%.3f "
-                  "underflow=%llu overflow=%llu",
-                  static_cast<unsigned long long>(h->total()),
-                  h->quantile(0.50), h->quantile(0.90), h->quantile(0.99),
-                  static_cast<unsigned long long>(h->underflow()),
-                  static_cast<unsigned long long>(h->overflow()));
-    return buf;
-}
-
-std::string
-renderCounterJson(const void *obj)
-{
-    const auto *c = static_cast<const Counter *>(obj);
-    util::JsonWriter w;
-    w.beginObject().kv("type", "counter").kv("value", c->value()).endObject();
-    return w.str();
-}
-
-std::string
-renderAccumulatorJson(const void *obj)
-{
-    const auto *a = static_cast<const Accumulator *>(obj);
-    util::JsonWriter w;
-    w.beginObject()
-        .kv("type", "accumulator")
-        .kv("count", a->count())
-        .kv("sum", a->sum())
-        .kv("mean", a->mean())
-        .kv("min", a->count() ? a->min() : 0.0)
-        .kv("max", a->count() ? a->max() : 0.0)
-        .kv("stddev", a->stddev())
-        .endObject();
-    return w.str();
-}
-
-std::string
-renderHistogramJson(const void *obj)
-{
-    const auto *h = static_cast<const Histogram *>(obj);
-    util::JsonWriter w;
-    w.beginObject()
-        .kv("type", "histogram")
-        .kv("count", h->total())
-        .kv("underflow", h->underflow())
-        .kv("overflow", h->overflow());
-    if (h->total() > 0) {
-        w.kv("p50", h->quantile(0.50))
-            .kv("p90", h->quantile(0.90))
-            .kv("p99", h->quantile(0.99));
-    }
-    w.key("buckets").beginArray();
-    for (size_t i = 0; i < h->buckets(); ++i) {
-        // Sparse: only occupied buckets, as [lo, count] pairs.
-        if (h->bucketCount(i) == 0) {
-            continue;
-        }
-        w.beginArray()
-            .value(h->bucketLo(i))
-            .value(h->bucketCount(i))
-            .endArray();
-    }
-    w.endArray().endObject();
-    return w.str();
-}
-
-} // namespace
-
-void
-StatRegistry::add(const std::string &name, const Counter &c)
-{
-    entries_[name] = EntryRef{&c, &renderCounter, &renderCounterJson};
-}
-
-void
-StatRegistry::add(const std::string &name, const Accumulator &a)
-{
-    entries_[name] = EntryRef{&a, &renderAccumulator, &renderAccumulatorJson};
-}
-
-void
-StatRegistry::add(const std::string &name, const Histogram &h)
-{
-    entries_[name] = EntryRef{&h, &renderHistogram, &renderHistogramJson};
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::ostringstream out;
-    for (const auto &[name, entry] : entries_) {
-        out << name << ' ' << entry.render(entry.object) << '\n';
-    }
-    return out.str();
-}
-
-std::string
-StatRegistry::dumpJson() const
-{
-    std::ostringstream out;
-    out << '{';
-    bool first = true;
-    for (const auto &[name, entry] : entries_) {
-        if (!first) {
-            out << ',';
-        }
-        first = false;
-        out << '"' << util::jsonEscape(name)
-            << "\":" << entry.renderJson(entry.object);
-    }
-    out << '}';
-    return out.str();
 }
 
 } // namespace remora::sim

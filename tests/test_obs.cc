@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability layer: TraceRecorder span semantics and
- * Chrome export, MetricRegistry dumps, StatRegistry histogram JSON,
+ * Chrome export, MetricRegistry dumps and histogram JSON,
  * Logger ring/level plumbing, and an end-to-end READ trace check.
  */
 #include <gtest/gtest.h>
@@ -239,7 +239,24 @@ TEST(MetricRegistryTest, RemovePrefixDropsOnlyThatSubtree)
     EXPECT_NE(reg.dump().find("y.a"), std::string::npos);
 }
 
-TEST(StatRegistryTest, HistogramJsonRoundTrip)
+TEST(MetricRegistryTest, DumpsSortedNameValueLines)
+{
+    sim::Counter c;
+    c.inc(3);
+    sim::Accumulator a;
+    a.sample(1.0);
+    obs::MetricRegistry reg;
+    reg.add("zeta.counter", c);
+    reg.add("alpha.accum", a);
+    std::string dump = reg.dump();
+    size_t alphaPos = dump.find("alpha.accum");
+    size_t zetaPos = dump.find("zeta.counter 3");
+    EXPECT_NE(alphaPos, std::string::npos);
+    EXPECT_NE(zetaPos, std::string::npos);
+    EXPECT_LT(alphaPos, zetaPos);
+}
+
+TEST(MetricRegistryTest, HistogramJsonRoundTrip)
 {
     sim::Histogram h(0.0, 10.0, 3);
     h.sample(5.0);
@@ -248,10 +265,11 @@ TEST(StatRegistryTest, HistogramJsonRoundTrip)
     h.sample(-1.0); // underflow
     h.sample(99.0); // overflow
 
-    sim::StatRegistry reg;
+    obs::MetricRegistry reg;
     reg.add("op.latency", h);
     std::string json = reg.dumpJson();
-    EXPECT_NE(json.find("\"op.latency\""), std::string::npos);
+    // The dotted name nests: {"op":{"latency":{...}}}.
+    EXPECT_NE(json.find("\"op\":{\"latency\":{"), std::string::npos);
     EXPECT_NE(json.find("\"count\":5"), std::string::npos);
     EXPECT_NE(json.find("\"underflow\":1"), std::string::npos);
     EXPECT_NE(json.find("\"overflow\":1"), std::string::npos);
