@@ -12,6 +12,23 @@ namespace remora::rmem {
 
 namespace {
 
+/** A reliable envelope's first retransmit fires this long after sending. */
+constexpr sim::Duration kRetransmitTimeout = sim::usec(500);
+
+/** The timeout doubles per attempt; the last one abandons the envelope. */
+constexpr int kMaxAttempts = 12;
+
+/**
+ * Largest inner-message slice carried per sequenced envelope; bigger
+ * messages are split across consecutive envelopes and reassembled in
+ * order on the far side. Bounding the retransmission unit to ~11 cells
+ * is what makes large frames survivable: at a 5% cell-drop rate a
+ * 480-byte fragment still arrives intact more often than not, while a
+ * 24 KB frame (~500 cells) retransmitted whole would essentially never
+ * land.
+ */
+constexpr size_t kMaxFragmentBytes = 480;
+
 /**
  * Envelope checksum covering the sequence number AND the inner bytes.
  * Small envelopes ride raw single cells with no AAL5 CRC behind them;
@@ -296,12 +313,11 @@ Wire::sendReliable(net::NodeId dst, std::vector<uint8_t> inner,
     // is effectively zero, so retransmitting it monolithically would
     // never converge. Fragments share the per-peer sequence space and
     // reassemble in order on the far side.
-    const size_t fragMax = std::max<size_t>(relParams_.maxFragmentBytes, 1);
     PeerTx &tx = peerTx_[dst];
     sim::Future<void> accepted;
     size_t off = 0;
     do {
-        size_t take = std::min(fragMax, inner.size() - off);
+        size_t take = std::min(kMaxFragmentBytes, inner.size() - off);
         uint32_t seq = ++tx.lastSeq;
         SeqMsg env;
         env.seq = seq;
@@ -318,7 +334,7 @@ Wire::sendReliable(net::NodeId dst, std::vector<uint8_t> inner,
         u.category = category;
         u.traceOp = traceOp;
         u.attempts = 1;
-        u.nextTimeout = relParams_.retransmitTimeout;
+        u.nextTimeout = kRetransmitTimeout;
         armRetransmit(dst, seq);
         if (off > 0) {
             fragmentsSent_.inc();
@@ -351,7 +367,7 @@ Wire::onRetransmitTimeout(net::NodeId dst, uint32_t seq)
         return; // acked in the meantime
     }
     PeerTx::Unacked &u = it->second;
-    if (u.attempts >= relParams_.maxAttempts) {
+    if (u.attempts >= kMaxAttempts) {
         // At-most-once gives up here: the message may or may not have
         // been applied; the layers above own the user-visible outcome
         // (engine and RPC timeouts, DFS fallback).

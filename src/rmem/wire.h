@@ -28,29 +28,6 @@
 
 namespace remora::rmem {
 
-/**
- * Parameters of the optional per-peer reliability layer (OFF by
- * default — the seed's lossless cluster needs none of it, and the
- * zero-fault hot path must stay untouched).
- */
-struct ReliabilityParams
-{
-    /** First retransmit fires this long after transmission. */
-    sim::Duration retransmitTimeout = sim::usec(500);
-    /** Timeout doubles per attempt up to maxAttempts. */
-    int maxAttempts = 12;
-    /**
-     * Largest inner-message slice carried per sequenced envelope;
-     * bigger messages are split across consecutive envelopes and
-     * reassembled in order on the far side. Bounding the
-     * retransmission unit to ~11 cells is what makes large frames
-     * survivable: at a 5% cell-drop rate a 480-byte fragment still
-     * arrives intact more often than not, while a 24 KB frame
-     * (~500 cells) retransmitted whole would essentially never land.
-     */
-    size_t maxFragmentBytes = 480;
-};
-
 /** Kernel-side NIC driver: message framing, PIO costs, RX dispatch. */
 class Wire
 {
@@ -119,15 +96,12 @@ class Wire
      * retransmitted with exponential backoff until the peer's
      * cumulative ACK covers it, and is deduplicated on the serve side
      * before it can reach a handler — a retransmitted WRITE or CAS
-     * never re-executes against the engine. Departure from the paper's
-     * §3.7 lossless-cluster assumption; see DESIGN.md §15.
+     * never re-executes against the engine. OFF by default: the
+     * lossless cluster needs none of it, and the zero-fault hot path
+     * stays untouched. Departure from the paper's §3.7 lossless-cluster
+     * assumption; see DESIGN.md §15.
      */
-    void
-    enableReliability(const ReliabilityParams &params = {})
-    {
-        reliable_ = true;
-        relParams_ = params;
-    }
+    void enableReliability() { reliable_ = true; }
 
     /** True when the reliability layer is on. */
     bool reliable() const { return reliable_; }
@@ -150,7 +124,7 @@ class Wire
     /** Duplicate envelopes discarded before reaching a handler. */
     uint64_t dupsDropped() const { return dupsDropped_.value(); }
 
-    /** Envelopes abandoned after maxAttempts (receiver unreachable). */
+    /** Envelopes abandoned after the last attempt (peer unreachable). */
     uint64_t sendFailures() const { return sendFailures_.value(); }
 
     /** Cumulative acknowledgements transmitted. */
@@ -253,7 +227,7 @@ class Wire
     /** Schedule the next retransmit probe for (dst, seq). */
     void armRetransmit(net::NodeId dst, uint32_t seq);
 
-    /** Retransmit (dst, seq) or abandon it after maxAttempts. */
+    /** Retransmit (dst, seq) or abandon it after the last attempt. */
     void onRetransmitTimeout(net::NodeId dst, uint32_t seq);
 
     /** Receive one sequenced envelope: verify, dedup, order, ack. */
@@ -281,7 +255,6 @@ class Wire
     std::unordered_set<net::NodeId> swappedPeers_;
     bool draining_ = false;
     bool reliable_ = false;
-    ReliabilityParams relParams_;
     std::unordered_map<net::NodeId, PeerTx> peerTx_;
     std::unordered_map<net::NodeId, PeerRx> peerRx_;
     sim::Counter msgsSent_;
