@@ -1,6 +1,8 @@
 #include "dfs/backend.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <type_traits>
 
 #include "util/panic.h"
@@ -105,52 +107,66 @@ DxBackend::null()
     co_return util::Status();
 }
 
-sim::Task<util::Result<FileAttr>>
-DxBackend::getattr(FileHandle fh)
+template <typename T, typename Decode, typename Fallback>
+sim::Task<util::Result<T>>
+DxBackend::probe(rmem::ImportedSegment area, uint64_t areaOff,
+                 uint32_t count, Decode decode, Fallback fallback,
+                 const char *missText)
 {
-    uint32_t bucket = attrBucket(fh.key(), geo_.attrBuckets);
-    auto bytes = co_await fetch(areas_.attr,
-                                static_cast<uint64_t>(bucket) * kAttrRecBytes,
-                                kAttrRecBytes);
+    auto bytes = co_await fetch(area, areaOff, count);
     if (bytes.ok()) {
-        AttrRecord rec = AttrRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid && rec.fhKey == fh.key()) {
-            co_return rec.attr;
+        if (std::optional<T> hit = decode(bytes.value())) {
+            co_return std::move(*hit);
         }
     } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
         co_return bytes.status();
     }
     ++misses_;
     if (fallback_) {
-        co_return co_await fallback_->getattr(fh);
+        co_return co_await fallback(*fallback_);
     }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "attr not in server cache");
+    co_return util::Status(util::ErrorCode::kNotFound, missText);
+}
+
+sim::Task<util::Result<FileAttr>>
+DxBackend::getattr(FileHandle fh)
+{
+    uint32_t bucket = attrBucket(fh.key(), geo_.attrBuckets);
+    return probe<FileAttr>(
+        areas_.attr, static_cast<uint64_t>(bucket) * kAttrRecBytes,
+        kAttrRecBytes,
+        [key = fh.key()](const std::vector<uint8_t> &bytes)
+            -> std::optional<FileAttr> {
+            AttrRecord rec = AttrRecord::decode(bytes);
+            if (rec.flag == kSlotValid && rec.fhKey == key) {
+                return rec.attr;
+            }
+            return std::nullopt;
+        },
+        [fh](HyBackend &fb) { return fb.getattr(fh); },
+        "attr not in server cache");
 }
 
 sim::Task<util::Result<LookupReply>>
 DxBackend::lookup(FileHandle dir, std::string name)
 {
     uint32_t bucket = nameBucket(dir.key(), name, geo_.nameBuckets);
-    auto bytes = co_await fetch(areas_.name,
-                                static_cast<uint64_t>(bucket) * kNameRecBytes,
-                                kNameRecBytes);
-    if (bytes.ok()) {
-        NameLookupRecord rec = NameLookupRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid && rec.dirKey == dir.key() &&
-            rec.name == name) {
-            co_return LookupReply{FileHandle::fromKey(rec.childKey),
-                                  rec.childAttr};
+    auto decode = [key = dir.key(), name](const std::vector<uint8_t> &bytes)
+        -> std::optional<LookupReply> {
+        NameLookupRecord rec = NameLookupRecord::decode(bytes);
+        if (rec.flag == kSlotValid && rec.dirKey == key && rec.name == name) {
+            return LookupReply{FileHandle::fromKey(rec.childKey),
+                               rec.childAttr};
         }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
-    }
-    ++misses_;
-    if (fallback_) {
-        co_return co_await fallback_->lookup(dir, std::move(name));
-    }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "name not in server cache");
+        return std::nullopt;
+    };
+    return probe<LookupReply>(
+        areas_.name, static_cast<uint64_t>(bucket) * kNameRecBytes,
+        kNameRecBytes, std::move(decode),
+        [dir, name = std::move(name)](HyBackend &fb) mutable {
+            return fb.lookup(dir, std::move(name));
+        },
+        "name not in server cache");
 }
 
 sim::Task<util::Result<std::vector<uint8_t>>>
@@ -429,23 +445,19 @@ sim::Task<util::Result<std::string>>
 DxBackend::readlink(FileHandle fh)
 {
     uint32_t slot = linkSlot(fh.key(), geo_.linkSlots);
-    auto bytes = co_await fetch(areas_.link,
-                                static_cast<uint64_t>(slot) * kLinkRecBytes,
-                                kLinkRecBytes);
-    if (bytes.ok()) {
-        LinkRecord rec = LinkRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid && rec.fhKey == fh.key()) {
-            co_return rec.target;
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
-    }
-    ++misses_;
-    if (fallback_) {
-        co_return co_await fallback_->readlink(fh);
-    }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "symlink not in server cache");
+    return probe<std::string>(
+        areas_.link, static_cast<uint64_t>(slot) * kLinkRecBytes,
+        kLinkRecBytes,
+        [key = fh.key()](const std::vector<uint8_t> &bytes)
+            -> std::optional<std::string> {
+            LinkRecord rec = LinkRecord::decode(bytes);
+            if (rec.flag == kSlotValid && rec.fhKey == key) {
+                return std::move(rec.target);
+            }
+            return std::nullopt;
+        },
+        [fh](HyBackend &fb) { return fb.readlink(fh); },
+        "symlink not in server cache");
 }
 
 sim::Task<util::Result<std::vector<DirEntry>>>
@@ -453,46 +465,37 @@ DxBackend::readdir(FileHandle fh, uint32_t maxBytes)
 {
     uint32_t slot = dirSlot(fh.key(), geo_.dirSlots);
     uint32_t want = std::min(maxBytes, kDirSlotBytes - kDirHeaderBytes);
-    auto bytes = co_await fetch(areas_.dir,
-                                static_cast<uint64_t>(slot) * kDirSlotBytes,
-                                kDirHeaderBytes + want);
-    if (bytes.ok()) {
-        DirSlotHeader hdr = DirSlotHeader::decode(bytes.value());
-        if (hdr.flag == kSlotValid && hdr.dirKey == fh.key()) {
-            auto packed = std::span<const uint8_t>(bytes.value())
-                              .subspan(kDirHeaderBytes);
-            co_return unpackDirEntries(packed,
-                                       std::min(hdr.bytes, want));
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
-    }
-    ++misses_;
-    if (fallback_) {
-        co_return co_await fallback_->readdir(fh, maxBytes);
-    }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "directory not in server cache");
+    return probe<std::vector<DirEntry>>(
+        areas_.dir, static_cast<uint64_t>(slot) * kDirSlotBytes,
+        kDirHeaderBytes + want,
+        [key = fh.key(), want](const std::vector<uint8_t> &bytes)
+            -> std::optional<std::vector<DirEntry>> {
+            DirSlotHeader hdr = DirSlotHeader::decode(bytes);
+            if (hdr.flag == kSlotValid && hdr.dirKey == key) {
+                return unpackDirEntries(std::span<const uint8_t>(bytes)
+                                            .subspan(kDirHeaderBytes),
+                                        std::min(hdr.bytes, want));
+            }
+            return std::nullopt;
+        },
+        [fh, maxBytes](HyBackend &fb) { return fb.readdir(fh, maxBytes); },
+        "directory not in server cache");
 }
 
 sim::Task<util::Result<FsStat>>
 DxBackend::statfs()
 {
-    auto bytes = co_await fetch(areas_.stat, 0, kStatRecBytes);
-    if (bytes.ok()) {
-        StatRecord rec = StatRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid) {
-            co_return rec.stat;
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
-    }
-    ++misses_;
-    if (fallback_) {
-        co_return co_await fallback_->statfs();
-    }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "statistics not in server cache");
+    return probe<FsStat>(
+        areas_.stat, 0, kStatRecBytes,
+        [](const std::vector<uint8_t> &bytes) -> std::optional<FsStat> {
+            StatRecord rec = StatRecord::decode(bytes);
+            if (rec.flag == kSlotValid) {
+                return rec.stat;
+            }
+            return std::nullopt;
+        },
+        [](HyBackend &fb) { return fb.statfs(); },
+        "statistics not in server cache");
 }
 
 // ----------------------------------------------------------------------

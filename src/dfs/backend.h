@@ -206,6 +206,19 @@ class DxBackend : public FileServiceBackend
     sim::Task<util::Result<std::vector<uint8_t>>>
     fetch(rmem::ImportedSegment area, uint64_t areaOff, uint32_t count);
 
+    /**
+     * Probe one server-cache record: fetch it, and answer with what
+     * @p decode finds there (nullopt when the slot holds another key).
+     * A timeout passes through. A miss is counted and goes to
+     * @p fallback (called with the fallback backend) when one is
+     * configured; otherwise it fails kNotFound with @p missText.
+     */
+    template <typename T, typename Decode, typename Fallback>
+    sim::Task<util::Result<T>> probe(rmem::ImportedSegment area,
+                                     uint64_t areaOff, uint32_t count,
+                                     Decode decode, Fallback fallback,
+                                     const char *missText);
+
     /** Next scratch deposit slot (rotates for concurrent ops). */
     uint32_t scratchSlot();
 
