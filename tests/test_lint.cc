@@ -1353,6 +1353,57 @@ sim::Task<void> Server::push()
                     .empty());
 }
 
+TEST(LintVectorStatus, DiscardedBatchIssueIsAdvisory)
+{
+    constexpr std::string_view kFixture = R"cc(
+sim::Task<void> Server::flush()
+{
+    rmem::BatchBuilder batch(engine_);
+    util::Status s = batch.addWrite(makeWrite());
+    co_await batch.issue();
+}
+)cc";
+    auto findings = only(lintSource("fixture.cc", kFixture, coroutineOnly()),
+                         Rule::kUncheckedVectorStatus);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].line, 6);
+}
+
+TEST(LintVectorStatus, ReadBatchWithOnlyStatusCheckedIsAdvisory)
+{
+    // issue() on a batch holding a READ: the sub-op results carry the
+    // data and any per-sub-op failure.
+    constexpr std::string_view kFixture = R"cc(
+sim::Task<util::Status> Server::gather()
+{
+    rmem::BatchBuilder batch(engine_);
+    util::Status s = batch.addRead(makeRead());
+    auto outcome = co_await batch.issue(timeout_);
+    co_return outcome.status;
+}
+)cc";
+    auto findings = only(lintSource("fixture.cc", kFixture, coroutineOnly()),
+                         Rule::kUncheckedVectorStatus);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].line, 6);
+}
+
+TEST(LintVectorStatus, WriteOnlyBatchIsSatisfiedByStatusCheck)
+{
+    constexpr std::string_view kFixture = R"cc(
+sim::Task<util::Status> Server::push()
+{
+    rmem::BatchBuilder batch(engine_);
+    util::Status s = batch.addWrite(makeWrite());
+    auto outcome = co_await batch.issue();
+    co_return outcome.status;
+}
+)cc";
+    EXPECT_TRUE(only(lintSource("fixture.cc", kFixture, coroutineOnly()),
+                     Rule::kUncheckedVectorStatus)
+                    .empty());
+}
+
 // ----------------------------------------------------------------------
 // Include-layer checker
 // ----------------------------------------------------------------------

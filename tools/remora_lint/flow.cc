@@ -478,6 +478,8 @@ struct VecBind
     std::string var;
     int line = 0;
     std::string callee;
+    /** The BatchBuilder variable, for an awaited `batch.issue()`. */
+    std::string batch;
 };
 
 /** Per-function context threaded through eventization. */
@@ -493,10 +495,36 @@ struct FnCtx
     std::set<std::string> vecStatusSeen;
     /** Discarded awaited vector ops: line -> callee. */
     std::vector<std::pair<int, std::string>> vecDiscards;
+    /** Local BatchBuilder variables, and those given a READ or CAS. */
+    std::set<std::string> batches;
+    std::set<std::string> readBatches;
     /** Nested lambda bodies to analyze separately: [lbrace+1, rbrace). */
     std::vector<std::pair<size_t, size_t>> lambdas;
     bool collectLambdas = false;
 };
+
+/**
+ * The vectored call starting at @p i: readv/writev/casv/issueVector,
+ * or `batch.issue` on a local BatchBuilder (@p batch gets its name).
+ * Empty when @p i starts no such call.
+ */
+std::string
+vecCallAt(const Toks &toks, size_t i, size_t hi, const FnCtx &ctx,
+          std::string *batch)
+{
+    if (!toks[i].ident() || i + 1 >= hi || !toks[i + 1].is("(")) {
+        return "";
+    }
+    if (isVecCallee(toks[i].text)) {
+        return toks[i].text;
+    }
+    if (toks[i].is("issue") && i >= 2 && toks[i - 1].is(".") &&
+        ctx.batches.count(toks[i - 2].text) != 0) {
+        *batch = toks[i - 2].text;
+        return "issue";
+    }
+    return "";
+}
 
 /**
  * Chain externality: borrowed-from state reachable by other coroutines.
@@ -669,8 +697,9 @@ scanRange(FnCtx &ctx, size_t lo, size_t hi, bool rangeFor,
         }
         // Vectored-op bind: `var = co_await …readv(…)`.
         for (size_t i = decl.rhsLo; i + 2 < decl.rhsHi; ++i) {
-            if (toks[i].ident() && isVecCallee(toks[i].text) &&
-                toks[i + 1].is("(")) {
+            std::string batch;
+            std::string callee = vecCallAt(toks, i, decl.rhsHi, ctx, &batch);
+            if (!callee.empty()) {
                 bool awaited = false;
                 for (size_t q = decl.rhsLo; q < i; ++q) {
                     if (toks[q].is("co_await")) {
@@ -679,7 +708,7 @@ scanRange(FnCtx &ctx, size_t lo, size_t hi, bool rangeFor,
                 }
                 if (awaited && emit == nullptr) {
                     ctx.vecBinds.push_back(
-                        VecBind{declVar, toks[i].line, toks[i].text});
+                        VecBind{declVar, toks[i].line, callee, batch});
                 }
             }
         }
@@ -693,9 +722,10 @@ scanRange(FnCtx &ctx, size_t lo, size_t hi, bool rangeFor,
     if (emit == nullptr && decl.nameIdx == std::string::npos && lo < hi &&
         toks[lo].is("co_await")) {
         for (size_t i = lo; i + 1 < hi; ++i) {
-            if (toks[i].ident() && isVecCallee(toks[i].text) &&
-                toks[i + 1].is("(")) {
-                ctx.vecDiscards.emplace_back(toks[i].line, toks[i].text);
+            std::string batch;
+            std::string callee = vecCallAt(toks, i, hi, ctx, &batch);
+            if (!callee.empty()) {
+                ctx.vecDiscards.emplace_back(toks[i].line, callee);
                 break;
             }
         }
@@ -814,6 +844,20 @@ scanRange(FnCtx &ctx, size_t lo, size_t hi, bool rangeFor,
                                        toks[j].text + "|", t.line, "", 0});
                 }
             }
+        }
+
+        // BatchBuilder locals, and which of them gather READ or CAS
+        // sub-ops (their outcome carries per-sub-op results).
+        if (emit == nullptr && t.is("BatchBuilder") && i + 2 < hi &&
+            toks[i + 1].ident() &&
+            (toks[i + 2].is("(") || toks[i + 2].is("{") ||
+             toks[i + 2].is(";"))) {
+            ctx.batches.insert(toks[i + 1].text);
+        }
+        if (emit == nullptr && t.ident() && i + 2 < hi &&
+            ctx.batches.count(t.text) != 0 && toks[i + 1].is(".") &&
+            (toks[i + 2].is("addRead") || toks[i + 2].is("addCas"))) {
+            ctx.readBatches.insert(t.text);
         }
 
         // Vector-outcome inspection: `var . results` / `.status` /
@@ -1374,10 +1418,14 @@ analyzeFunction(std::string_view path, const SourceModel &s, size_t lo,
 
     // remora-unchecked-vector-status: function-global inspection check.
     for (const VecBind &vb : ctx.vecBinds) {
+        // A write-only batch has no per-sub-op payloads: like writev,
+        // its outcome is all in .status.
+        bool writeOnly = vb.callee == "writev" ||
+                         (vb.callee == "issue" &&
+                          ctx.readBatches.count(vb.batch) == 0);
         bool inspected =
             ctx.vecResultsSeen.count(vb.var) != 0 ||
-            (vb.callee == "writev" &&
-             ctx.vecStatusSeen.count(vb.var) != 0);
+            (writeOnly && ctx.vecStatusSeen.count(vb.var) != 0);
         if (!inspected) {
             rep.report(
                 Rule::kUncheckedVectorStatus, vb.line, 0, vb.var,

@@ -26,9 +26,11 @@
  *    acquire with a release (`acquire`/`release`, `beginUse`/`endUse`),
  *    but some early-exit path reaches the end still holding.
  *  - remora-unchecked-vector-status (advisory): an awaited vectored
- *    op's outcome whose per-sub-op `.results` are never inspected (the
+ *    op's outcome (readv/writev/casv, or `issue()` on a local
+ *    BatchBuilder) whose per-sub-op `.results` are never inspected (the
  *    PR 6 contract: a stale generation fails the sub-op, not the
- *    batch), or a vectored outcome discarded outright.
+ *    batch), or a vectored outcome discarded outright. A writev, or a
+ *    batch that only ever calls addWrite, is satisfied by `.status`.
  *
  * Nested lambdas are separate analysis units: a suspension inside a
  *lambda body neither suspends the enclosing function nor suppresses

@@ -701,135 +701,72 @@ checkScalarOpLoops(std::string_view path, const SourceModel &s,
 // ----------------------------------------------------------------------
 // Rule metadata
 //
-// The switches below have no default case and no fallback return:
+// The switch below has no default case and no fallback return:
 // remora_lint_core builds with -Werror=switch -Werror=return-type, so
-// adding a Rule enumerator without wiring its name, severity, and
-// description here is a compile error.
+// adding a Rule enumerator without its row here is a compile error.
 // ----------------------------------------------------------------------
 
-const char *
-ruleName(Rule rule)
+RuleInfo
+ruleInfo(Rule rule)
 {
+    constexpr bool kError = true;
+    constexpr bool kAdvisory = false;
+    constexpr bool kFlow = true;
+    constexpr bool kLocal = false;
     switch (rule) {
     case Rule::kCoroutineRefParam:
-        return "remora-coroutine-ref-param";
+        return {"remora-coroutine-ref-param", kError, kLocal,
+                "coroutine takes a reference/string_view parameter that "
+                "dangles at the first suspension point"};
     case Rule::kCoroutinePtrParam:
-        return "remora-coroutine-ptr-param";
+        return {"remora-coroutine-ptr-param", kAdvisory, kLocal,
+                "named coroutine takes a raw pointer; pointee must outlive "
+                "every suspension"};
     case Rule::kRefCaptureDeferred:
-        return "remora-ref-capture-deferred";
+        return {"remora-ref-capture-deferred", kError, kLocal,
+                "[&] capture on a deferred or coroutine lambda outlives its "
+                "scope"};
     case Rule::kDetachedCoroutine:
+        return {"remora-detached-coroutine", kError, kLocal,
+                "eager Task started and silently discarded; spell "
+                "fire-and-forget as .detach()"};
     case Rule::kDetachedCoroutineDetach:
-        return "remora-detached-coroutine";
+        return {"remora-detached-coroutine", kAdvisory, kLocal,
+                "sanctioned .detach() fire-and-forget site, kept auditable"};
     case Rule::kScalarOpLoop:
-        return "remora-scalar-op-loop";
+        return {"remora-scalar-op-loop", kAdvisory, kLocal,
+                "scalar write()/read() awaited per loop iteration; consider "
+                "writev()/readv() batching"};
     case Rule::kNondeterminism:
-        return "remora-nondeterminism";
+        return {"remora-nondeterminism", kError, kLocal,
+                "wall-clock or platform randomness breaks bit-identical "
+                "replay"};
     case Rule::kIncludeHygiene:
-        return "remora-include-hygiene";
+        return {"remora-include-hygiene", kError, kLocal,
+                "relative or module-prefix-less project include"};
     case Rule::kLockAcrossSuspension:
-        return "remora-lock-across-suspension";
+        return {"remora-lock-across-suspension", kError, kFlow,
+                "lock still held at a suspension that acquires another lock "
+                "(cross-order deadlock), or thread guard live at co_await"};
     case Rule::kUseAfterSuspension:
-        return "remora-use-after-suspension";
+        return {"remora-use-after-suspension", kError, kFlow,
+                "pointer/reference/view into borrowed state used after a "
+                "suspension point that may invalidate it"};
     case Rule::kReleaseOnAllPaths:
-        return "remora-release-on-all-paths";
+        return {"remora-release-on-all-paths", kAdvisory, kFlow,
+                "acquire/release or begin/end pair where an early-exit path "
+                "skips the release"};
     case Rule::kUncheckedVectorStatus:
-        return "remora-unchecked-vector-status";
+        return {"remora-unchecked-vector-status", kAdvisory, kFlow,
+                "vectored op result whose per-sub-op statuses are never "
+                "inspected"};
     case Rule::kIncludeLayer:
-        return "remora-include-layer";
+        return {"remora-include-layer", kError, kLocal,
+                "include edge climbs the module layer diagram upward, or "
+                "the include DAG has a cycle"};
     }
     // Unreachable: the switch is exhaustive (-Werror=switch) and every
     // case returns (-Werror=return-type).
-    __builtin_unreachable();
-}
-
-bool
-ruleIsError(Rule rule)
-{
-    switch (rule) {
-    case Rule::kCoroutineRefParam:
-    case Rule::kRefCaptureDeferred:
-    case Rule::kDetachedCoroutine:
-    case Rule::kNondeterminism:
-    case Rule::kIncludeHygiene:
-    case Rule::kLockAcrossSuspension:
-    case Rule::kUseAfterSuspension:
-    case Rule::kIncludeLayer:
-        return true;
-    case Rule::kCoroutinePtrParam:
-    case Rule::kDetachedCoroutineDetach:
-    case Rule::kScalarOpLoop:
-    case Rule::kReleaseOnAllPaths:
-    case Rule::kUncheckedVectorStatus:
-        return false;
-    }
-    __builtin_unreachable();
-}
-
-const char *
-ruleDescription(Rule rule)
-{
-    switch (rule) {
-    case Rule::kCoroutineRefParam:
-        return "coroutine takes a reference/string_view parameter that "
-               "dangles at the first suspension point";
-    case Rule::kCoroutinePtrParam:
-        return "named coroutine takes a raw pointer; pointee must outlive "
-               "every suspension";
-    case Rule::kRefCaptureDeferred:
-        return "[&] capture on a deferred or coroutine lambda outlives its "
-               "scope";
-    case Rule::kDetachedCoroutine:
-        return "eager Task started and silently discarded; spell "
-               "fire-and-forget as .detach()";
-    case Rule::kDetachedCoroutineDetach:
-        return "sanctioned .detach() fire-and-forget site, kept auditable";
-    case Rule::kScalarOpLoop:
-        return "scalar write()/read() awaited per loop iteration; consider "
-               "writev()/readv() batching";
-    case Rule::kNondeterminism:
-        return "wall-clock or platform randomness breaks bit-identical "
-               "replay";
-    case Rule::kIncludeHygiene:
-        return "relative or module-prefix-less project include";
-    case Rule::kLockAcrossSuspension:
-        return "lock still held at a suspension that acquires another lock "
-               "(cross-order deadlock), or thread guard live at co_await";
-    case Rule::kUseAfterSuspension:
-        return "pointer/reference/view into borrowed state used after a "
-               "suspension point that may invalidate it";
-    case Rule::kReleaseOnAllPaths:
-        return "acquire/release or begin/end pair where an early-exit path "
-               "skips the release";
-    case Rule::kUncheckedVectorStatus:
-        return "vectored op result whose per-sub-op statuses are never "
-               "inspected";
-    case Rule::kIncludeLayer:
-        return "include edge climbs the module layer diagram upward, or "
-               "the include DAG has a cycle";
-    }
-    __builtin_unreachable();
-}
-
-bool
-ruleIsFlow(Rule rule)
-{
-    switch (rule) {
-    case Rule::kLockAcrossSuspension:
-    case Rule::kUseAfterSuspension:
-    case Rule::kReleaseOnAllPaths:
-    case Rule::kUncheckedVectorStatus:
-        return true;
-    case Rule::kCoroutineRefParam:
-    case Rule::kCoroutinePtrParam:
-    case Rule::kRefCaptureDeferred:
-    case Rule::kDetachedCoroutine:
-    case Rule::kDetachedCoroutineDetach:
-    case Rule::kScalarOpLoop:
-    case Rule::kNondeterminism:
-    case Rule::kIncludeHygiene:
-    case Rule::kIncludeLayer:
-        return false;
-    }
     __builtin_unreachable();
 }
 

@@ -148,17 +148,31 @@ inline constexpr Rule kAllRules[] = {
     Rule::kIncludeLayer,
 };
 
-/** remora-lint's name for @p rule, as used in NOLINT(...) lists. */
-const char *ruleName(Rule rule);
+/** One rule's row of the rule table (what --list-rules prints). */
+struct RuleInfo
+{
+    /** remora-lint's name, as used in NOLINT(...) lists. */
+    const char *name;
+    /** True when findings fail the build (vs. advisory). */
+    bool isError;
+    /** True for the four CFG/dataflow rules (counted in summaries). */
+    bool isFlow;
+    /** One-line human description. */
+    const char *description;
+};
 
-/** True when findings of @p rule fail the build (vs. advisory). */
-bool ruleIsError(Rule rule);
+/** The rule table row of @p rule. */
+RuleInfo ruleInfo(Rule rule);
 
-/** One-line human description of @p rule, for --list-rules. */
-const char *ruleDescription(Rule rule);
+inline const char *ruleName(Rule rule) { return ruleInfo(rule).name; }
+inline bool ruleIsError(Rule rule) { return ruleInfo(rule).isError; }
+inline bool ruleIsFlow(Rule rule) { return ruleInfo(rule).isFlow; }
 
-/** True for the four CFG/dataflow rules (reported in gate summaries). */
-bool ruleIsFlow(Rule rule);
+inline const char *
+ruleDescription(Rule rule)
+{
+    return ruleInfo(rule).description;
+}
 
 /** One reported violation. */
 struct Finding
