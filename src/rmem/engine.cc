@@ -546,6 +546,18 @@ RmemEngine::cas(ImportedSegment dst, uint32_t offset, uint32_t oldValue,
 // Vectored meta-instructions (initiator side)
 // ----------------------------------------------------------------------
 
+SegmentDescriptor *
+RmemEngine::landingSpot(const VectorSubOp &sub, const VectorLocalDeposit &loc)
+{
+    SegmentDescriptor *dst = table_.get(loc.dstSeg);
+    if (dst == nullptr ||
+        static_cast<uint64_t>(loc.dstOff) + subOpBytes(sub) > dst->size ||
+        (sub.kind == VecOpKind::kCas && loc.dstOff % 4 != 0)) {
+        return nullptr;
+    }
+    return dst;
+}
+
 sim::Task<VectorOutcome>
 RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
 {
@@ -573,15 +585,8 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
         }
         wantResponse = true;
         const VectorLocalDeposit &loc = batch.local[i];
-        SegmentDescriptor *dst = table_.get(loc.dstSeg);
-        if (dst == nullptr ||
-            static_cast<uint64_t>(loc.dstOff) + subOpBytes(sub) > dst->size ||
-            (sub.kind == VecOpKind::kCas && loc.dstOff % 4 != 0)) {
-            co_return VectorOutcome{
-                util::Status(util::ErrorCode::kInvalidArgument,
-                             "vector deposit location invalid"),
-                {}};
-        }
+        SegmentDescriptor *dst = landingSpot(sub, loc);
+        REMORA_ASSERT(dst != nullptr); // BatchBuilder checked it at add
         deposits[i] =
             VectorDeposit{true,       sub.kind,   dst->ownerPid,
                           dst->base + loc.dstOff, loc.notify, loc.dstSeg};

@@ -301,6 +301,14 @@ class RmemEngine
     sim::Task<VectorOutcome> issueVector(VectorBatch batch,
                                          sim::Duration timeout);
 
+    /**
+     * The local segment a READ/CAS sub-op's result lands in, or null
+     * when @p loc is no valid landing spot for it (unknown segment, out
+     * of bounds, or a misaligned CAS word).
+     */
+    SegmentDescriptor *landingSpot(const VectorSubOp &sub,
+                                   const VectorLocalDeposit &loc);
+
     /** One meta-instruction in flight on the initiator side. */
     struct IssuedOp
     {

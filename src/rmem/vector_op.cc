@@ -159,6 +159,11 @@ BatchBuilder::add(const ImportedSegment &seg, VectorSubOp sub,
     if (!imported.ok()) {
         return imported;
     }
+    if (sub.kind != VecOpKind::kWrite &&
+        engine_.landingSpot(sub, local) == nullptr) {
+        return util::Status(util::ErrorCode::kInvalidArgument,
+                            "vector deposit location invalid");
+    }
     if (batch_.ops.size() >= kMaxVectorOps) {
         return util::Status(util::ErrorCode::kResource, "vector batch full");
     }

@@ -206,10 +206,10 @@ size_t distinctValidationKeys(const std::vector<VectorSubOp> &ops);
 
 /**
  * Opt-in builder upper layers use to gather sub-ops for one target
- * node. Import-side checks (checkImport, then frame budget, op cap and
- * single target) run at add time so a bad op is rejected before
- * anything hits the wire; issue() hands the admitted batch to the
- * engine's one vectored issue path.
+ * node. Every check (checkImport, the local landing spot, then op cap,
+ * single target and frame budgets) runs at add time so a bad op is
+ * rejected before anything is counted or hits the wire; issue() hands
+ * the admitted batch to the engine's one vectored issue path.
  */
 class BatchBuilder
 {
@@ -279,9 +279,9 @@ class BatchBuilder
 
   private:
     /**
-     * The add* tail: check @p sub against its import @p seg, keep the
-     * batch single-target and within the op cap and both frame
-     * budgets, then append it with its local landing spot.
+     * The add* tail: check @p sub against its import @p seg and its
+     * local landing spot, keep the batch single-target and within the
+     * op cap and both frame budgets, then append it.
      */
     util::Status add(const ImportedSegment &seg, VectorSubOp sub,
                      VectorLocalDeposit local);
