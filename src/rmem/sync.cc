@@ -107,11 +107,8 @@ SpinLock::release()
                                                 offset_));
     // A plain remote write of zero: single-word atomicity (§3.4) makes
     // this a safe unlock as long as the caller actually held the lock.
-    util::ByteWriter w(4);
-    w.putU32(0);
-    util::Status s = co_await engine_.write(
-        segment_, offset_,
-        std::vector<uint8_t>(w.bytes().begin(), w.bytes().end()));
+    util::Status s = co_await engine_.write(segment_, offset_,
+                                            std::vector<uint8_t>(4, 0));
     co_return s;
 }
 
@@ -119,10 +116,25 @@ SpinLock::release()
 // Heartbeat
 // ----------------------------------------------------------------------
 
+namespace {
+
+/** Publisher bump period. */
+constexpr sim::Duration kPublishPeriod = sim::msec(10);
+/** Monitor probe period. */
+constexpr sim::Duration kProbePeriod = sim::msec(25);
+/** Per-probe read deadline. */
+constexpr sim::Duration kProbeTimeout = sim::msec(10);
+/**
+ * Declare failure after this many consecutive probes that either timed
+ * out or observed no counter progress.
+ */
+constexpr uint32_t kMissesAllowed = 3;
+
+} // namespace
+
 HeartbeatPublisher::HeartbeatPublisher(RmemEngine &engine,
-                                       mem::Process &owner,
-                                       const HeartbeatParams &params)
-    : engine_(engine), owner_(owner), params_(params)
+                                       mem::Process &owner)
+    : engine_(engine), owner_(owner)
 {
     base_ = owner_.space().allocRegion(mem::kPageBytes);
     auto h = engine_.exportSegment(owner_, base_, 64, Rights::kRead,
@@ -159,15 +171,14 @@ HeartbeatPublisher::publishLoop()
         // single-word guarantee keeps readers consistent.
         util::Status s = owner_.space().writeWord(base_, beats_);
         REMORA_ASSERT(s.ok());
-        co_await sim::delay(sim, params_.publishPeriod);
+        co_await sim::delay(sim, kPublishPeriod);
     }
 }
 
 HeartbeatMonitor::HeartbeatMonitor(RmemEngine &engine, mem::Process &owner,
                                    const ImportedSegment &peer,
-                                   FailureCallback onFailure,
-                                   const HeartbeatParams &params)
-    : engine_(engine), params_(params), peer_(peer),
+                                   FailureCallback onFailure)
+    : engine_(engine), peer_(peer),
       onFailure_(std::move(onFailure))
 {
     mem::Vaddr scratch = owner.space().allocRegion(mem::kPageBytes);
@@ -195,13 +206,13 @@ HeartbeatMonitor::probeLoop()
     uint32_t lastSeen = 0;
     uint32_t misses = 0;
     while (running_ && !failed_) {
-        co_await sim::delay(sim, params_.probePeriod);
+        co_await sim::delay(sim, kProbePeriod);
         if (!running_) {
             break;
         }
         ++probes_;
         ReadOutcome out = co_await engine_.read(
-            peer_, 0, scratchSeg_, 0, 4, false, params_.probeTimeout);
+            peer_, 0, scratchSeg_, 0, 4, false, kProbeTimeout);
         bool progress = false;
         if (out.status.ok() && out.data.size() == 4) {
             util::ByteReader r(out.data);
@@ -211,7 +222,7 @@ HeartbeatMonitor::probeLoop()
         }
         if (progress) {
             misses = 0;
-        } else if (++misses >= params_.missesAllowed) {
+        } else if (++misses >= kMissesAllowed) {
             failed_ = true;
             if (onFailure_) {
                 onFailure_(peer_.node);
