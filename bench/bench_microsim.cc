@@ -25,9 +25,9 @@
 
 #include "net/aal5.h"
 #include "rmem/protocol.h"
-#include "rpc/marshal.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "util/bytes.h"
 #include "util/crc.h"
 
 #include "bench_common.h"
@@ -174,18 +174,22 @@ marshalRate()
     constexpr int kIters = 100000;
     double s = bestOfThree([] {
         for (int i = 0; i < kIters; ++i) {
-            rpc::Marshal m;
-            m.putU32(42);
-            m.putU64(0xdeadbeefcafef00dull);
-            m.putString("the quick brown fox");
-            m.putOpaque(std::vector<uint8_t>(128, 9));
+            util::Encoder m;
+            m.u32(42);
+            m.u64(0xdeadbeefcafef00dull);
+            m.opaque(std::string("the quick brown fox"));
+            m.opaque(std::vector<uint8_t>(128, 9));
             auto buf = m.take();
-            rpc::Unmarshal u(buf);
-            uint64_t acc = u.getU32();
-            acc += u.getU64();
-            acc += u.getString().size();
-            acc += u.getOpaque().size();
-            gSink = gSink + acc;
+            util::Decoder u(buf);
+            uint32_t word = 0;
+            uint64_t wide = 0;
+            std::string text;
+            std::vector<uint8_t> blob;
+            u.u32(word);
+            u.u64(wide);
+            u.opaque(text);
+            u.opaque(blob);
+            gSink = gSink + word + wide + text.size() + blob.size();
         }
     });
     return kIters / s;

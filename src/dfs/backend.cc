@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <span>
-#include <type_traits>
 
 #include "util/panic.h"
 
@@ -17,40 +16,6 @@ constexpr sim::Duration kDxReadTimeout = sim::msec(100);
 /** Scratch deposit slots: big enough for a header + unaligned block. */
 constexpr uint32_t kScratchSlotBytes = 20480;
 constexpr uint32_t kScratchSlots = 4;
-
-/**
- * Decode one marshaled reply: the call's own failure, else the
- * server's status word, else the results @p results reads from the rest
- * of the body.
- */
-template <typename Results>
-auto
-decodeReply(const util::Result<std::vector<uint8_t>> &reply,
-            Results results)
-    -> util::Result<std::invoke_result_t<Results, rpc::Unmarshal &>>
-{
-    if (!reply.ok()) {
-        return reply.status();
-    }
-    rpc::Unmarshal u(reply.value());
-    uint32_t code = u.getU32();
-    if (!u.ok()) {
-        return util::Status(util::ErrorCode::kMalformed, "short reply");
-    }
-    if (code != 0) {
-        return util::Status(static_cast<util::ErrorCode>(code),
-                            "server-side failure");
-    }
-    return results(u);
-}
-
-/** Decode a reply that carries only the status word (NULL, WRITE). */
-util::Status
-decodeStatus(const util::Result<std::vector<uint8_t>> &reply)
-{
-    return decodeReply(reply, [](rpc::Unmarshal &) { return true; })
-        .status();
-}
 
 } // namespace
 
@@ -502,67 +467,73 @@ DxBackend::statfs()
 // MarshaledBackend
 // ----------------------------------------------------------------------
 
+template <typename Reply, typename Args>
+sim::Task<util::Result<Reply>>
+MarshaledBackend::invoke(Args args)
+{
+    auto reply = co_await call(encodeCall(args));
+    if (!reply.ok()) {
+        co_return reply.status();
+    }
+    co_return decodeReply<Reply>(reply.value());
+}
+
 sim::Task<util::Status>
 MarshaledBackend::null()
 {
-    auto reply = co_await call(encodeNullCall());
-    co_return decodeStatus(reply);
+    auto reply = co_await invoke<NullReply>(NullArgs{});
+    co_return reply.status();
 }
 
 sim::Task<util::Result<FileAttr>>
 MarshaledBackend::getattr(FileHandle fh)
 {
-    auto reply = co_await call(encodeGetAttrCall(fh));
-    co_return decodeReply(reply, getFileAttr);
+    return invoke<FileAttr>(GetAttrArgs{fh});
 }
 
 sim::Task<util::Result<LookupReply>>
 MarshaledBackend::lookup(FileHandle dir, std::string name)
 {
-    auto reply = co_await call(encodeLookupCall(dir, name));
-    co_return decodeReply(reply, [](rpc::Unmarshal &u) {
-        return LookupReply{getFileHandle(u), getFileAttr(u)};
-    });
+    return invoke<LookupReply>(LookupArgs{dir, std::move(name)});
 }
 
 sim::Task<util::Result<std::vector<uint8_t>>>
 MarshaledBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
 {
-    auto reply = co_await call(encodeReadCall(fh, offset, count));
-    co_return decodeReply(reply, [](rpc::Unmarshal &u) {
-        getFileAttr(u); // post-op attributes, unused
-        return u.getOpaque();
-    });
+    auto reply = co_await invoke<ReadReply>(ReadArgs{fh, offset, count});
+    if (!reply.ok()) {
+        co_return reply.status();
+    }
+    co_return std::move(reply.value().data);
 }
 
 sim::Task<util::Status>
 MarshaledBackend::write(FileHandle fh, uint64_t offset,
                         std::vector<uint8_t> data)
 {
-    auto reply = co_await call(encodeWriteCall(fh, offset, data));
-    co_return decodeStatus(reply);
+    // A named argument: GCC destroys temporaries in a co_await operand
+    // twice.
+    WriteArgs args{fh, offset, std::move(data)};
+    auto reply = co_await invoke<FileAttr>(std::move(args));
+    co_return reply.status();
 }
 
 sim::Task<util::Result<std::string>>
 MarshaledBackend::readlink(FileHandle fh)
 {
-    auto reply = co_await call(encodeReadLinkCall(fh));
-    co_return decodeReply(reply,
-                          [](rpc::Unmarshal &u) { return u.getString(); });
+    return invoke<std::string>(ReadLinkArgs{fh});
 }
 
 sim::Task<util::Result<std::vector<DirEntry>>>
 MarshaledBackend::readdir(FileHandle fh, uint32_t maxBytes)
 {
-    auto reply = co_await call(encodeReadDirCall(fh, maxBytes));
-    co_return decodeReply(reply, getDirEntries);
+    return invoke<std::vector<DirEntry>>(ReadDirArgs{fh, maxBytes});
 }
 
 sim::Task<util::Result<FsStat>>
 MarshaledBackend::statfs()
 {
-    auto reply = co_await call(encodeStatFsCall(FileHandle{}));
-    co_return decodeReply(reply, getFsStat);
+    return invoke<FsStat>(StatFsArgs{});
 }
 
 } // namespace remora::dfs

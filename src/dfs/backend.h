@@ -40,13 +40,6 @@
 
 namespace remora::dfs {
 
-/** Lookup result: handle plus attributes, like NFS diropres. */
-struct LookupReply
-{
-    FileHandle fh;
-    FileAttr attr;
-};
-
 /** Abstract clerk-to-server access path. */
 class FileServiceBackend
 {
@@ -109,6 +102,11 @@ class MarshaledBackend : public FileServiceBackend
     /** Issue one marshaled call and return its reply body. */
     virtual sim::Task<util::Result<std::vector<uint8_t>>> call(
         std::vector<uint8_t> body) = 0;
+
+  private:
+    /** Encode @p args as a call, issue it, decode the Reply. */
+    template <typename Reply, typename Args>
+    sim::Task<util::Result<Reply>> invoke(Args args);
 };
 
 /** Hybrid-1 backend: marshaled calls over write-with-notification. */

@@ -32,6 +32,7 @@
 #include <string>
 
 #include "dfs/file_store.h"
+#include "util/bytes.h"
 #include "util/hash.h"
 
 namespace remora::dfs {
@@ -111,25 +112,30 @@ linkSlot(uint64_t fhKey, uint32_t slots)
 }
 
 // ----------------------------------------------------------------------
-// Record encode/decode
+// Records. Each encodes into exactly its record size (zero-padded past
+// the fields below) and decodes from at least that many bytes.
 // ----------------------------------------------------------------------
 
 /** Attribute record: flag, handle tag, attributes. */
-struct AttrRecord
+struct AttrRecord : util::FixedRecord<AttrRecord, kAttrRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t fhKey = 0;
     FileAttr attr;
 
-    /** Serialize into exactly kAttrRecBytes. */
-    void encode(std::span<uint8_t> out) const;
-
-    /** Parse from at least kAttrRecBytes. */
-    static AttrRecord decode(std::span<const uint8_t> in);
+    template <class IO, util::FieldsOf<AttrRecord> R>
+    friend void
+    fields(IO &io, R &r)
+    {
+        io.u32(r.flag);
+        io.pad(4);
+        io.u64(r.fhKey);
+        fields(io, r.attr);
+    }
 };
 
 /** Name-lookup record: flag, (dir, name) tag, child handle + attrs. */
-struct NameLookupRecord
+struct NameLookupRecord : util::FixedRecord<NameLookupRecord, kNameRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t dirKey = 0;
@@ -137,12 +143,21 @@ struct NameLookupRecord
     FileAttr childAttr;
     std::string name; // <= 79 chars
 
-    void encode(std::span<uint8_t> out) const;
-    static NameLookupRecord decode(std::span<const uint8_t> in);
+    template <class IO, util::FieldsOf<NameLookupRecord> R>
+    friend void
+    fields(IO &io, R &r)
+    {
+        io.u32(r.flag);
+        io.pad(4);
+        io.u64(r.dirKey);
+        io.u64(r.childKey);
+        fields(io, r.childAttr);
+        io.bytes8(r.name, 79);
+    }
 };
 
 /** Data-slot header: flag, dirty, (handle, block) tag, valid bytes. */
-struct DataSlotHeader
+struct DataSlotHeader : util::FixedRecord<DataSlotHeader, kDataHeaderBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint32_t dirty = 0;
@@ -150,41 +165,69 @@ struct DataSlotHeader
     uint64_t blockNo = 0;
     uint32_t validBytes = 0;
 
-    void encode(std::span<uint8_t> out) const;
-    static DataSlotHeader decode(std::span<const uint8_t> in);
+    template <class IO, util::FieldsOf<DataSlotHeader> R>
+    friend void
+    fields(IO &io, R &h)
+    {
+        io.u32(h.flag);
+        io.u32(h.dirty);
+        io.u64(h.fhKey);
+        io.u64(h.blockNo);
+        io.u32(h.validBytes);
+    }
 };
 
 /** Directory-slot header: flag, dir tag, packed-entry byte count. */
-struct DirSlotHeader
+struct DirSlotHeader : util::FixedRecord<DirSlotHeader, kDirHeaderBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t dirKey = 0;
     uint32_t bytes = 0;
     uint32_t entryCount = 0;
 
-    void encode(std::span<uint8_t> out) const;
-    static DirSlotHeader decode(std::span<const uint8_t> in);
+    template <class IO, util::FieldsOf<DirSlotHeader> R>
+    friend void
+    fields(IO &io, R &h)
+    {
+        io.u32(h.flag);
+        io.pad(4);
+        io.u64(h.dirKey);
+        io.u32(h.bytes);
+        io.u32(h.entryCount);
+    }
 };
 
 /** Symlink record: flag, handle tag, target path. */
-struct LinkRecord
+struct LinkRecord : util::FixedRecord<LinkRecord, kLinkRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t fhKey = 0;
     std::string target; // <= 107 chars
 
-    void encode(std::span<uint8_t> out) const;
-    static LinkRecord decode(std::span<const uint8_t> in);
+    template <class IO, util::FieldsOf<LinkRecord> R>
+    friend void
+    fields(IO &io, R &r)
+    {
+        io.u32(r.flag);
+        io.u64(r.fhKey);
+        io.bytes32(r.target, 107);
+    }
 };
 
 /** Statistics record. */
-struct StatRecord
+struct StatRecord : util::FixedRecord<StatRecord, kStatRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     FsStat stat;
 
-    void encode(std::span<uint8_t> out) const;
-    static StatRecord decode(std::span<const uint8_t> in);
+    template <class IO, util::FieldsOf<StatRecord> R>
+    friend void
+    fields(IO &io, R &r)
+    {
+        io.u32(r.flag);
+        io.pad(4);
+        fields(io, r.stat);
+    }
 };
 
 } // namespace remora::dfs

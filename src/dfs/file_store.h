@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace remora::dfs {
@@ -61,7 +62,10 @@ struct FileHandle
     }
 };
 
-/** File attributes (the getattr payload). */
+/**
+ * File attributes (the getattr payload). Its 56-byte layout is the same
+ * in NFS replies and in the exported cache records.
+ */
 struct FileAttr
 {
     FileType type = FileType::kRegular;
@@ -75,6 +79,23 @@ struct FileAttr
     uint32_t atime = 0;
     uint32_t mtime = 0;
     uint32_t ctime = 0;
+
+    template <class IO, util::FieldsOf<FileAttr> R>
+    friend void
+    fields(IO &io, R &a)
+    {
+        io.u32(a.type);
+        io.u32(a.mode);
+        io.u32(a.nlink);
+        io.u32(a.uid);
+        io.u32(a.gid);
+        io.u64(a.size);
+        io.u64(a.bytesUsed);
+        io.u64(a.fileid);
+        io.u32(a.atime);
+        io.u32(a.mtime);
+        io.u32(a.ctime);
+    }
 };
 
 /** One directory entry. */
@@ -84,13 +105,23 @@ struct DirEntry
     std::string name;
 };
 
-/** Filesystem-wide statistics (the statfs payload). */
+/** Filesystem-wide statistics (the statfs payload and cache record). */
 struct FsStat
 {
     uint64_t totalBytes = 0;
     uint64_t freeBytes = 0;
     uint64_t totalFiles = 0;
     uint32_t blockSize = kBlockBytes;
+
+    template <class IO, util::FieldsOf<FsStat> R>
+    friend void
+    fields(IO &io, R &s)
+    {
+        io.u64(s.totalBytes);
+        io.u64(s.freeBytes);
+        io.u64(s.totalFiles);
+        io.u32(s.blockSize);
+    }
 };
 
 /** In-memory inode-based filesystem. */

@@ -191,8 +191,14 @@ class FileServer
     void loadBytes(CacheArea area, uint64_t offset,
                    std::span<uint8_t> out) const;
 
-    /** Track insert vs. eviction for a slot whose old flag word is @p old. */
-    void noteInsert(uint32_t oldFlag, uint64_t oldTag, uint64_t newTag);
+    /**
+     * Write @p rec at @p offset of @p area, counting an insert, and an
+     * eviction when the slot held a valid record with another @p tag.
+     * Returns the record's bytes.
+     */
+    template <typename Rec, typename Tag>
+    std::vector<uint8_t> insertRecord(CacheArea area, uint64_t offset,
+                                      const Rec &rec, Tag tag);
 
     /** Eagerly push an attribute record to every subscriber. */
     void pushAttrToSubscribers(FileHandle fh,

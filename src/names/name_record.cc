@@ -1,71 +1,51 @@
 #include "names/name_record.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "util/bytes.h"
 #include "util/hash.h"
 #include "util/panic.h"
 
 namespace remora::names {
 
+namespace {
+
+/** Decode the record's fields that lie within @p in. */
+NameRecord
+decodeLeading(std::span<const uint8_t> in, uint64_t *nameHash)
+{
+    util::Decoder d(in);
+    NameRecord rec;
+    uint64_t hash = 0;
+    fields(d, rec, hash);
+    if (nameHash != nullptr) {
+        *nameHash = hash;
+    }
+    return rec;
+}
+
+} // namespace
+
 void
 NameRecord::encode(std::span<uint8_t> out) const
 {
-    REMORA_ASSERT(out.size() >= kBytes);
     REMORA_ASSERT(name.size() <= kMaxNameLen);
-    util::ByteWriter w(kBytes);
-    // Probe prefix (24 bytes).
-    w.putU32(static_cast<uint32_t>(flag));
-    w.putU16(node);
-    w.putU8(descriptor);
-    w.putU8(static_cast<uint8_t>(rights));
-    w.putU16(generation);
-    w.putU16(0); // pad
-    w.putU32(size);
-    w.putU64(nameHashOf(name));
-    // Full name (40 bytes, NUL padded).
-    w.putBytes(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t *>(name.data()), name.size()));
-    w.putZeros(kBytes - kPrefixBytes - name.size());
-    auto bytes = w.bytes();
-    REMORA_ASSERT(bytes.size() == kBytes);
-    std::memcpy(out.data(), bytes.data(), kBytes);
+    uint64_t hash = nameHashOf(name);
+    util::Encoder e(kBytes);
+    fields(e, *this, hash);
+    e.fill(out, kBytes);
 }
 
 NameRecord
 NameRecord::decode(std::span<const uint8_t> in)
 {
     REMORA_ASSERT(in.size() >= kBytes);
-    uint64_t hash = 0;
-    NameRecord rec = decodePrefix(in, &hash);
-    auto nameBytes = in.subspan(kPrefixBytes, kBytes - kPrefixBytes);
-    size_t len = 0;
-    while (len < nameBytes.size() && nameBytes[len] != 0) {
-        ++len;
-    }
-    rec.name.assign(reinterpret_cast<const char *>(nameBytes.data()), len);
-    return rec;
+    return decodeLeading(in.first(kBytes), nullptr);
 }
 
 NameRecord
 NameRecord::decodePrefix(std::span<const uint8_t> in, uint64_t *nameHash)
 {
     REMORA_ASSERT(in.size() >= kPrefixBytes);
-    util::ByteReader r(in);
-    NameRecord rec;
-    rec.flag = static_cast<RecordFlag>(r.getU32());
-    rec.node = r.getU16();
-    rec.descriptor = r.getU8();
-    rec.rights = static_cast<rmem::Rights>(r.getU8());
-    rec.generation = r.getU16();
-    r.skip(2);
-    rec.size = r.getU32();
-    uint64_t hash = r.getU64();
-    if (nameHash != nullptr) {
-        *nameHash = hash;
-    }
-    return rec;
+    return decodeLeading(in.first(kPrefixBytes), nameHash);
 }
 
 uint64_t

@@ -23,6 +23,7 @@
 
 #include "net/cell.h"
 #include "rmem/segment.h"
+#include "util/bytes.h"
 
 namespace remora::names {
 
@@ -84,6 +85,38 @@ struct NameRecord
 
     /** The hash stored in the prefix for remote name matching. */
     static uint64_t nameHashOf(const std::string &name);
+
+    /**
+     * Where the segment lives: node, descriptor, rights, generation,
+     * pad, size (12 bytes). The record's prefix carries it after the
+     * flag, and a control-transfer lookup reply carries it alone.
+     */
+    template <class IO, util::FieldsOf<NameRecord> R>
+    static void
+    location(IO &io, R &rec)
+    {
+        io.u16(rec.node);
+        io.u8(rec.descriptor);
+        io.u8(rec.rights);
+        io.u16(rec.generation);
+        io.pad(2);
+        io.u32(rec.size);
+    }
+
+    /**
+     * The whole record: flag, location, the name's hash, then the name
+     * NUL-padded to 40 bytes. The hash ends the probe prefix, so a
+     * decode of just the prefix leaves the name empty.
+     */
+    template <class IO, util::FieldsOf<NameRecord> R>
+    friend void
+    fields(IO &io, R &rec, uint64_t &nameHash)
+    {
+        io.u32(rec.flag);
+        location(io, rec);
+        io.u64(nameHash);
+        io.text(rec.name, kBytes - kPrefixBytes);
+    }
 
     /** The import handle this record describes. */
     rmem::ImportedSegment

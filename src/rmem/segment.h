@@ -14,6 +14,7 @@
 #include <string>
 
 #include "net/cell.h"
+#include "util/bytes.h"
 
 namespace remora::rmem {
 
@@ -78,6 +79,21 @@ struct ImportedSegment
     uint32_t size = 0;
     /** Rights the exporter granted. */
     Rights rights = Rights::kNone;
+
+    /**
+     * How a record in a shared segment names a segment to its peer:
+     * descriptor, pad, generation, size (8 bytes). The node and rights
+     * are implied by who wrote the record and why.
+     */
+    template <class IO, util::FieldsOf<ImportedSegment> R>
+    friend void
+    fields(IO &io, R &seg)
+    {
+        io.u8(seg.descriptor);
+        io.pad(1);
+        io.u16(seg.generation);
+        io.u32(seg.size);
+    }
 };
 
 } // namespace remora::rmem

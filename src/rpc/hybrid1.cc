@@ -12,9 +12,46 @@ namespace remora::rpc {
 
 namespace {
 
-/** Bytes of the request record header: seq, argLen, reply coordinates. */
+/**
+ * The request record's header, at the start of the client's slot; the
+ * arguments follow it.
+ */
+struct RequestHeader
+{
+    uint32_t seq = 0;
+    uint32_t argLen = 0;
+    /** The client's reply segment (node and rights are implied). */
+    rmem::ImportedSegment reply;
+
+    template <class IO, util::FieldsOf<RequestHeader> R>
+    friend void
+    fields(IO &io, R &h)
+    {
+        io.u32(h.seq);
+        io.u32(h.argLen);
+        fields(io, h.reply);
+    }
+};
+
+/** The reply record's header; the results follow it. */
+struct ReplyHeader
+{
+    uint32_t seq = 0;
+    uint32_t status = 0;
+    uint32_t len = 0;
+
+    template <class IO, util::FieldsOf<ReplyHeader> R>
+    friend void
+    fields(IO &io, R &h)
+    {
+        io.u32(h.seq);
+        io.u32(h.status);
+        io.u32(h.len);
+    }
+};
+
+/** Encoded header sizes. */
 constexpr uint32_t kReqHeader = 16;
-/** Bytes of the reply record header: seq, status, length. */
 constexpr uint32_t kRespHeader = 12;
 
 } // namespace
@@ -28,7 +65,7 @@ Hybrid1Server::Hybrid1Server(rmem::RmemEngine &engine,
                              const Hybrid1Params &params)
     : engine_(engine), process_(serverProcess), params_(params)
 {
-    uint32_t segBytes = params_.slotBytes * params_.slots;
+    uint32_t segBytes = kHybrid1SlotBytes * params_.slots;
     segBase_ = process_.space().allocRegion(segBytes);
     auto exported = engine_.exportSegment(
         process_, segBase_, segBytes,
@@ -72,7 +109,7 @@ Hybrid1Server::serveLoop()
         // Control transfer: the blocked server thread is woken for each
         // notified request (the cost HY pays and DX avoids).
         rmem::Notification n = co_await ch->next();
-        uint32_t slot = n.offset / params_.slotBytes;
+        uint32_t slot = n.offset / kHybrid1SlotBytes;
         if (slot >= params_.slots) {
             continue; // stray write outside any slot
         }
@@ -91,30 +128,24 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
             "slot=" + std::to_string(slot) + " from=" + std::to_string(src));
     }
     auto &cpu = engine_.node().cpu();
-    mem::Vaddr slotVa = segBase_ + slot * params_.slotBytes;
+    mem::Vaddr slotVa = segBase_ + slot * kHybrid1SlotBytes;
 
     // Parse the request record out of the segment memory.
     std::vector<uint8_t> header(kReqHeader);
     util::Status rs = process_.space().read(slotVa, header);
     REMORA_ASSERT(rs.ok());
-    util::ByteReader r(header);
-    uint32_t seq = r.getU32();
-    uint32_t argLen = r.getU32();
-    uint8_t replyDesc = r.getU8();
-    r.skip(1);
-    uint16_t replyGen = r.getU16();
-    uint32_t replySize = r.getU32();
-
-    if (kReqHeader + argLen > params_.slotBytes) {
+    RequestHeader req;
+    util::decode(header, req);
+    if (kReqHeader + req.argLen > kHybrid1SlotBytes) {
         obs::TraceRecorder::instance().endSpan(span);
         co_return; // malformed request; nothing sane to reply to
     }
-    std::vector<uint8_t> args(argLen);
+    std::vector<uint8_t> args(req.argLen);
     rs = process_.space().read(slotVa + kReqHeader, args);
     REMORA_ASSERT(rs.ok());
 
     // Procedure invocation overhead (stub dispatch).
-    co_await cpu.use(engine_.costs().copyCost(kReqHeader + argLen) +
+    co_await cpu.use(engine_.costs().copyCost(kReqHeader + req.argLen) +
                          sim::usec(25),
                      sim::CpuCategory::kProcInvoke);
 
@@ -123,17 +154,11 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
 
     // Return write(s): pure data transfer back to the client's reply
     // segment; the client spin-waits, so no notify bit.
-    rmem::ImportedSegment reply;
+    rmem::ImportedSegment reply = req.reply;
     reply.node = src;
-    reply.descriptor = replyDesc;
-    reply.generation = replyGen;
-    reply.size = replySize;
     reply.rights = rmem::Rights::kWrite;
-
-    util::ByteWriter w(kRespHeader);
-    w.putU32(seq);
-    w.putU32(0); // status ok
-    w.putU32(static_cast<uint32_t>(results.size()));
+    std::vector<uint8_t> replyHeader = util::encode(
+        ReplyHeader{req.seq, 0, static_cast<uint32_t>(results.size())});
     // Scatter the return as ONE vectored WRITE: the result bytes land
     // at their final offset and the header lands at 0, in that order —
     // the serving CPU's FIFO keeps the seq word (the reply's release
@@ -145,7 +170,8 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
         subs.push_back(rmem::BatchBuilder::Write{
             reply, kRespHeader, std::move(results), false});
     }
-    subs.push_back(rmem::BatchBuilder::Write{reply, 0, w.take(), false});
+    subs.push_back(
+        rmem::BatchBuilder::Write{reply, 0, std::move(replyHeader), false});
     // engine_.writev starts eagerly, so its asyncBegin runs while the
     // scope is live and records this request's op as its parent; the
     // scope is dropped before suspending on the result.
@@ -169,10 +195,9 @@ Hybrid1Client::Hybrid1Client(rmem::RmemEngine &engine,
     : engine_(engine), process_(clientProcess), server_(server), slot_(slot),
       params_(params)
 {
-    uint32_t replyBytes = params_.slotBytes;
-    replyBase_ = process_.space().allocRegion(replyBytes);
+    replyBase_ = process_.space().allocRegion(kHybrid1SlotBytes);
     auto exported = engine_.exportSegment(
-        process_, replyBase_, replyBytes, rmem::Rights::kWrite,
+        process_, replyBase_, kHybrid1SlotBytes, rmem::Rights::kWrite,
         rmem::NotifyPolicy::kNever, "hybrid1.reply");
     if (!exported.ok()) {
         REMORA_FATAL("hybrid1: cannot export reply segment: " +
@@ -194,7 +219,7 @@ Hybrid1Client::Hybrid1Client(rmem::RmemEngine &engine,
 sim::Task<util::Result<std::vector<uint8_t>>>
 Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
 {
-    REMORA_ASSERT(kReqHeader + args.size() <= params_.slotBytes);
+    REMORA_ASSERT(kReqHeader + args.size() <= kHybrid1SlotBytes);
     uint32_t seq = ++seq_;
     // Async op for the whole call (request write, server work, reply
     // write, spin-wait): runs eagerly here, so the caller's ambient
@@ -212,14 +237,11 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
                 std::to_string(seq));
     }
 
-    util::ByteWriter w(kReqHeader + args.size());
-    w.putU32(seq);
-    w.putU32(static_cast<uint32_t>(args.size()));
-    w.putU8(replyHandle_.descriptor);
-    w.putU8(0);
-    w.putU16(replyHandle_.generation);
-    w.putU32(replyHandle_.size);
-    w.putBytes(args);
+    const RequestHeader request{seq, static_cast<uint32_t>(args.size()),
+                                replyHandle_};
+    util::Encoder w(kReqHeader + args.size());
+    fields(w, request);
+    w.raw(args);
 
     // The single write request, with notification: this is the one
     // control transfer Hybrid-1 performs. Started under the call op's
@@ -227,7 +249,7 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
     std::optional<obs::OpScope> parentScope;
     parentScope.emplace(opId);
     auto writeTask = engine_.write(
-        server_, slot_ * params_.slotBytes, w.take(), true);
+        server_, slot_ * kHybrid1SlotBytes, w.take(), true);
     parentScope.reset();
     util::Status ws = co_await writeTask;
     if (!ws.ok()) {
@@ -268,11 +290,9 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
     std::vector<uint8_t> header(kRespHeader);
     util::Status rs = process_.space().read(replyBase_, header);
     REMORA_ASSERT(rs.ok());
-    util::ByteReader r(header);
-    r.skip(4); // seq already checked
-    uint32_t status = r.getU32();
-    uint32_t len = r.getU32();
-    if (status != 0) {
+    ReplyHeader reply;
+    util::decode(header, reply); // seq already checked
+    if (reply.status != 0) {
         auto &rec = obs::TraceRecorder::instance();
         rec.endSpan(span);
         if (opId != 0) {
@@ -282,7 +302,7 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
         co_return util::Status(util::ErrorCode::kInternal,
                                "hybrid1 remote failure");
     }
-    std::vector<uint8_t> data(len);
+    std::vector<uint8_t> data(reply.len);
     rs = process_.space().read(replyBase_ + kRespHeader, data);
     REMORA_ASSERT(rs.ok());
     {

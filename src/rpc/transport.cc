@@ -3,8 +3,8 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "rpc/marshal.h"
 #include "sim/logger.h"
+#include "util/bytes.h"
 #include "util/panic.h"
 
 namespace remora::rpc {
@@ -14,6 +14,25 @@ namespace {
 /** Response status octet values. */
 constexpr uint8_t kStatusOk = 0;
 constexpr uint8_t kStatusBadProc = 1;
+
+/**
+ * Call and reply bodies share one XDR layout: a word (the procedure
+ * number of a call, the status of a reply), then opaque bytes (the
+ * arguments or results).
+ */
+struct Envelope
+{
+    uint32_t word = 0;
+    std::vector<uint8_t> bytes;
+
+    template <class IO, util::FieldsOf<Envelope> R>
+    friend void
+    fields(IO &io, R &e)
+    {
+        io.u32(e.word);
+        io.opaque(e.bytes);
+    }
+};
 
 } // namespace
 
@@ -60,10 +79,6 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
     co_await cpu.use(costs_.clientBlock, sim::CpuCategory::kControlTransfer);
     obs::TraceRecorder::instance().endSpan(blockSpan);
 
-    Marshal m;
-    m.putU32(proc);
-    m.putOpaque(args);
-
     uint32_t xid = nextXid_++;
     auto [it, inserted] = pending_.try_emplace(
         xid, PendingCall{sim::Promise<util::Result<std::vector<uint8_t>>>(sim),
@@ -87,7 +102,7 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
     rmem::RpcMsg msg;
     msg.xid = xid;
     msg.isResponse = false;
-    msg.body = m.take();
+    msg.body = util::encode(Envelope{proc, std::move(args)});
     wire_.send(dst, rmem::Message(std::move(msg)),
                sim::CpuCategory::kDataReply, opId);
     co_return co_await fut;
@@ -132,16 +147,12 @@ RpcTransport::serve(net::NodeId src, uint32_t xid, std::vector<uint8_t> body)
     co_await cpu.use(costs_.serverDispatch,
                      sim::CpuCategory::kControlTransfer);
 
-    Unmarshal u(body);
-    uint32_t proc = u.getU32();
-    std::vector<uint8_t> args = u.getOpaque();
-
-    Marshal reply;
-    auto it = procs_.find(proc);
-    if (it == procs_.end() || !u.ok()) {
+    Envelope request;
+    bool wellFormed = util::decode(body, request);
+    Envelope reply{kStatusBadProc, {}};
+    auto it = procs_.find(request.word);
+    if (it == procs_.end() || !wellFormed) {
         stats_.badProc.inc();
-        reply.putU32(kStatusBadProc);
-        reply.putOpaque({});
     } else {
         // Copy the handler out of procs_ before suspending: a
         // registerProc() during the awaited dispatch cost can rehash
@@ -149,16 +160,14 @@ RpcTransport::serve(net::NodeId src, uint32_t xid, std::vector<uint8_t> body)
         Handler handler = it->second;
         // Stub invocation overhead around the handler body.
         co_await cpu.use(costs_.procInvoke, sim::CpuCategory::kProcInvoke);
-        std::vector<uint8_t> results =
-            co_await handler(src, std::move(args));
-        reply.putU32(kStatusOk);
-        reply.putOpaque(results);
+        reply.bytes = co_await handler(src, std::move(request.bytes));
+        reply.word = kStatusOk;
     }
 
     rmem::RpcMsg msg;
     msg.xid = xid;
     msg.isResponse = true;
-    msg.body = reply.take();
+    msg.body = util::encode(reply);
 
     // Step 4: reschedule the server's processor on return, plus the
     // socket-layer copies of the reply on the way out.
@@ -210,14 +219,13 @@ RpcTransport::completeCall(uint32_t xid, std::vector<uint8_t> body)
                  if (p.traceOp != 0) {
                      rec.asyncEnd(p.traceOp, nodeName, "rpc", "call");
                  }
-                 Unmarshal u(body);
-                 uint32_t status = u.getU32();
-                 std::vector<uint8_t> results = u.getOpaque();
-                 if (status != kStatusOk || !u.ok()) {
+                 Envelope reply;
+                 if (!util::decode(body, reply) ||
+                     reply.word != kStatusOk) {
                      p.done.set(util::Status(util::ErrorCode::kInternal,
                                              "RPC failed remotely"));
                  } else {
-                     p.done.set(std::move(results));
+                     p.done.set(std::move(reply.bytes));
                  }
              });
 }

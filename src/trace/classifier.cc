@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "dfs/nfs_proto.h"
-#include "rpc/marshal.h"
 
 namespace remora::trace {
 
@@ -13,36 +12,40 @@ namespace {
 /** RPC communication identifier (xid), present on call and reply. */
 constexpr uint64_t kXidBytes = 4;
 
-/** Encoded size of the flat attribute block (semantic data). */
+/** Encoded bytes of @p v (semantic data carried inside a reply). */
+template <class T>
 uint64_t
-attrBytes()
+wireBytes(const T &v)
 {
-    rpc::Marshal m;
-    dfs::putFileAttr(m, dfs::FileAttr{});
-    return m.size();
+    util::Encoder e;
+    fields(e, v);
+    return e.size();
 }
 
-/** Encoded size of the statfs block (semantic data). */
+/** Bytes of the call body for Args with empty variable-length fields. */
+template <class Args>
 uint64_t
-statBytes()
+callBytes()
 {
-    rpc::Marshal m;
-    dfs::putFsStat(m, dfs::FsStat{});
-    return m.size();
+    static const uint64_t bytes = dfs::encodeCall(Args{}).size();
+    return bytes;
 }
 
-/** Wire size of a string marshaled by XDR. */
+/** Bytes of a successful reply body with empty variable-length fields. */
+template <class T>
 uint64_t
-xdrString(uint64_t len)
+replyBytes()
 {
-    return 4 + ((len + 3) / 4) * 4;
+    static const uint64_t bytes =
+        dfs::encodeReply(util::Result<T>(T{})).size();
+    return bytes;
 }
 
-/** Wire size of opaque bytes marshaled by XDR. */
+/** XDR carries variable-length bytes rounded up to whole words. */
 uint64_t
-xdrOpaque(uint64_t len)
+xdrPadded(uint64_t len)
 {
-    return 4 + ((len + 3) / 4) * 4;
+    return (len + 3) / 4 * 4;
 }
 
 } // namespace
@@ -50,10 +53,10 @@ xdrOpaque(uint64_t len)
 Traffic
 classifyOp(OpClass cls, const OpShape &shape)
 {
-    const uint64_t attr = attrBytes();
-    const uint64_t fh = dfs::kWireFileHandleBytes;
-    const uint64_t proc = 4;   // procedure number word
-    const uint64_t status = 4; // reply status word
+    // Fixed parts are measured on the service's own encoders; only the
+    // variable-length bytes (names, targets, payloads) are added here.
+    static const uint64_t attr = wireBytes(dfs::FileAttr{});
+    static const uint64_t stat = wireBytes(dfs::FsStat{});
     const uint64_t xids = 2 * kXidBytes;
 
     uint64_t req = 0;
@@ -62,57 +65,58 @@ classifyOp(OpClass cls, const OpShape &shape)
 
     switch (cls) {
       case OpClass::kGetAttr:
-        req = proc + fh;
-        resp = status + attr;
+        req = callBytes<dfs::GetAttrArgs>();
+        resp = replyBytes<dfs::FileAttr>();
         data = attr;
         break;
       case OpClass::kLookup:
-        req = proc + fh + xdrString(shape.nameLen);
-        resp = status + fh + attr;
+        req = callBytes<dfs::LookupArgs>() + xdrPadded(shape.nameLen);
+        resp = replyBytes<dfs::LookupReply>();
         data = shape.nameLen + attr;
         break;
       case OpClass::kRead:
-        req = proc + fh + 8 /*offset*/ + 4 /*count*/;
-        resp = status + attr + xdrOpaque(shape.payloadBytes);
+        req = callBytes<dfs::ReadArgs>();
+        resp = replyBytes<dfs::ReadReply>() + xdrPadded(shape.payloadBytes);
         data = shape.payloadBytes + attr;
         break;
       case OpClass::kNullPing:
-        req = proc;
-        resp = status;
+        req = callBytes<dfs::NullArgs>();
+        resp = replyBytes<dfs::NullReply>();
         data = 0;
         break;
       case OpClass::kReadLink:
-        req = proc + fh;
-        resp = status + xdrString(shape.targetLen);
+        req = callBytes<dfs::ReadLinkArgs>();
+        resp = replyBytes<std::string>() + xdrPadded(shape.targetLen);
         data = shape.targetLen;
         break;
       case OpClass::kReadDir: {
-        req = proc + fh + 4 /*maxBytes*/;
+        req = callBytes<dfs::ReadDirArgs>();
         // Packed entries average 9 bytes + name per entry; marshaled
         // entries carry a fileid, a length word, and name padding.
         uint64_t perPacked = 9 + shape.nameLen;
         uint64_t entries =
             perPacked ? shape.payloadBytes / perPacked : 0;
-        uint64_t perWire = 8 + xdrString(shape.nameLen);
-        resp = status + 4 /*count*/ + entries * perWire;
+        static const uint64_t perEntry = wireBytes(dfs::DirEntry{});
+        resp = replyBytes<std::vector<dfs::DirEntry>>() +
+               entries * (perEntry + xdrPadded(shape.nameLen));
         data = shape.payloadBytes;
         break;
       }
       case OpClass::kStatFs:
-        req = proc + fh;
-        resp = status + statBytes();
-        data = statBytes();
+        req = callBytes<dfs::StatFsArgs>();
+        resp = replyBytes<dfs::FsStat>();
+        data = stat;
         break;
       case OpClass::kWrite:
-        req = proc + fh + 8 /*offset*/ + xdrOpaque(shape.payloadBytes);
-        resp = status + attr;
+        req = callBytes<dfs::WriteArgs>() + xdrPadded(shape.payloadBytes);
+        resp = replyBytes<dfs::FileAttr>();
         data = shape.payloadBytes + attr;
         break;
       case OpClass::kOther:
         // Miscellaneous mutating ops (setattr, create, remove, ...):
         // handle + a small argument block in, attributes back.
-        req = proc + fh + 32;
-        resp = status + attr;
+        req = callBytes<dfs::GetAttrArgs>() + 32;
+        resp = replyBytes<dfs::FileAttr>();
         data = attr + 16;
         break;
       case OpClass::kNumClasses:

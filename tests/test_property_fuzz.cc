@@ -13,9 +13,9 @@
 #include "net/aal5.h"
 #include "net/fault.h"
 #include "rmem/protocol.h"
-#include "rpc/marshal.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "util/bytes.h"
 
 namespace remora {
 namespace {
@@ -179,7 +179,8 @@ TEST(PropertyProtocol, EncodeDecodeIdempotentOnRandomMessages)
 }
 
 // ----------------------------------------------------------------------
-// Marshal fuzz: random schedules of puts round-trip through gets
+// Marshal fuzz: random schedules of XDR fields round-trip through the
+// Encoder and Decoder
 // ----------------------------------------------------------------------
 
 TEST(PropertyMarshal, RandomFieldSequencesRoundTrip)
@@ -191,14 +192,14 @@ TEST(PropertyMarshal, RandomFieldSequencesRoundTrip)
         std::vector<uint64_t> ints;
         std::vector<std::string> strings;
         std::vector<std::vector<uint8_t>> blobs;
-        rpc::Marshal m;
+        util::Encoder m;
         int fields = 1 + static_cast<int>(rng.uniformInt(12));
         for (int i = 0; i < fields; ++i) {
             switch (rng.uniformInt(3)) {
               case 0: {
                 uint64_t v = rng.nextU64();
                 ints.push_back(v);
-                m.putU64(v);
+                m.u64(v);
                 schedule.push_back(0);
                 break;
               }
@@ -208,7 +209,7 @@ TEST(PropertyMarshal, RandomFieldSequencesRoundTrip)
                     c = static_cast<char>('a' + rng.uniformInt(26));
                 }
                 strings.push_back(s);
-                m.putString(s);
+                m.opaque(s);
                 schedule.push_back(1);
                 break;
               }
@@ -218,26 +219,35 @@ TEST(PropertyMarshal, RandomFieldSequencesRoundTrip)
                     x = static_cast<uint8_t>(rng.nextU32());
                 }
                 blobs.push_back(b);
-                m.putOpaque(b);
+                m.opaque(b);
                 schedule.push_back(2);
                 break;
               }
             }
         }
         auto buf = m.take();
-        rpc::Unmarshal u(buf);
+        util::Decoder u(buf);
         size_t ii = 0, si = 0, bi = 0;
         for (int kind : schedule) {
             switch (kind) {
-              case 0:
-                EXPECT_EQ(u.getU64(), ints[ii++]);
+              case 0: {
+                uint64_t v = 0;
+                u.u64(v);
+                EXPECT_EQ(v, ints[ii++]);
                 break;
-              case 1:
-                EXPECT_EQ(u.getString(), strings[si++]);
+              }
+              case 1: {
+                std::string s;
+                u.opaque(s);
+                EXPECT_EQ(s, strings[si++]);
                 break;
-              default:
-                EXPECT_EQ(u.getOpaque(), blobs[bi++]);
+              }
+              default: {
+                std::vector<uint8_t> b;
+                u.opaque(b);
+                EXPECT_EQ(b, blobs[bi++]);
                 break;
+              }
             }
         }
         EXPECT_TRUE(u.ok()) << "trial " << trial;

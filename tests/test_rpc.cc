@@ -8,8 +8,8 @@
 #include "cluster_fixture.h"
 #include "rpc/hybrid1.h"
 #include "rpc/local_rpc.h"
-#include "rpc/marshal.h"
 #include "rpc/transport.h"
+#include "util/bytes.h"
 
 namespace remora {
 namespace {
@@ -23,21 +23,31 @@ using test::TwoNodeCluster;
 
 TEST(Marshal, ScalarsAndStringsRoundTrip)
 {
-    rpc::Marshal m;
-    m.putU32(7);
-    m.putI32(-9);
-    m.putBool(true);
-    m.putU64(1ull << 40);
-    m.putString("xyzzy");
+    util::Encoder m;
+    m.u32(7u);
+    m.u32(int32_t{-9});
+    m.u32(true);
+    m.u64(1ull << 40);
+    m.opaque(std::string("xyzzy"));
     auto buf = m.take();
     EXPECT_EQ(buf.size() % 4, 0u);
 
-    rpc::Unmarshal u(buf);
-    EXPECT_EQ(u.getU32(), 7u);
-    EXPECT_EQ(u.getI32(), -9);
-    EXPECT_TRUE(u.getBool());
-    EXPECT_EQ(u.getU64(), 1ull << 40);
-    EXPECT_EQ(u.getString(), "xyzzy");
+    util::Decoder u(buf);
+    uint32_t word = 0;
+    int32_t negative = 0;
+    bool flag = false;
+    uint64_t wide = 0;
+    std::string text;
+    u.u32(word);
+    u.u32(negative);
+    u.u32(flag);
+    u.u64(wide);
+    u.opaque(text);
+    EXPECT_EQ(word, 7u);
+    EXPECT_EQ(negative, -9);
+    EXPECT_TRUE(flag);
+    EXPECT_EQ(wide, 1ull << 40);
+    EXPECT_EQ(text, "xyzzy");
     EXPECT_TRUE(u.ok());
 }
 
@@ -50,13 +60,15 @@ TEST_P(OpaqueRoundTrip, PadsToXdrAlignment)
     for (size_t i = 0; i < data.size(); ++i) {
         data[i] = static_cast<uint8_t>(i);
     }
-    rpc::Marshal m;
-    m.putOpaque(data);
+    util::Encoder m;
+    m.opaque(data);
     EXPECT_EQ(m.size() % 4, 0u);
     EXPECT_EQ(m.size(), 4 + ((data.size() + 3) / 4) * 4);
     auto buf = m.take();
-    rpc::Unmarshal u(buf);
-    EXPECT_EQ(u.getOpaque(), data);
+    util::Decoder u(buf);
+    std::vector<uint8_t> back;
+    u.opaque(back);
+    EXPECT_EQ(back, data);
     EXPECT_TRUE(u.ok());
     EXPECT_EQ(u.remaining(), 0u);
 }
@@ -66,12 +78,14 @@ INSTANTIATE_TEST_SUITE_P(Sizes, OpaqueRoundTrip,
 
 TEST(Marshal, TruncatedDecodeSetsNotOk)
 {
-    rpc::Marshal m;
-    m.putU32(3);
+    util::Encoder m;
+    m.u32(3);
     auto buf = m.take();
-    rpc::Unmarshal u(buf);
-    u.getU32();
-    u.getU64(); // past the end
+    util::Decoder u(buf);
+    uint32_t word = 0;
+    uint64_t past = 0;
+    u.u32(word);
+    u.u64(past); // past the end
     EXPECT_FALSE(u.ok());
 }
 

@@ -180,13 +180,15 @@ TEST(Bytes, StringRoundTripWithPadding)
     for (const std::string &s :
          {std::string(""), std::string("a"), std::string("abcd"),
           std::string("hello world"), std::string(300, 'x')}) {
-        ByteWriter w;
-        w.putString(s);
+        Encoder w;
+        w.opaque(s);
         EXPECT_EQ(w.size() % 4, 0u) << "XDR padding violated for len "
                                     << s.size();
         auto buf = w.take();
-        ByteReader r(buf);
-        EXPECT_EQ(r.getString(), s);
+        Decoder r(buf);
+        std::string back;
+        r.opaque(back);
+        EXPECT_EQ(back, s);
         EXPECT_TRUE(r.ok());
         EXPECT_EQ(r.remaining(), 0u);
     }
@@ -222,8 +224,8 @@ TEST_P(BytesRoundTrip, ArbitraryPayloads)
     auto buf = w.take();
     ByteReader r(buf);
     EXPECT_EQ(r.getU32(), n);
-    std::vector<uint8_t> out(n);
-    r.getBytes(out);
+    auto view = r.viewBytes(n);
+    std::vector<uint8_t> out(view.begin(), view.end());
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(out, payload);
 }
