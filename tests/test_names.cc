@@ -290,6 +290,18 @@ TEST(NameClerk, ControlTransferAbsentName)
     EXPECT_EQ(imp.status().code(), util::ErrorCode::kNotFound);
 }
 
+TEST(NameClerk, ControlTransferOverlongNameIsAbsentWithoutAsking)
+{
+    // Longer than any registry name and than the request's name field.
+    names::NameClerkParams p;
+    p.policy = names::ProbePolicy::kControlOnly;
+    NamesFixture f(p);
+    auto t = f.clerkB.import(std::string(60, 'x'), 1);
+    auto imp = runToCompletion(f.cluster.sim, t);
+    EXPECT_EQ(imp.status().code(), util::ErrorCode::kNotFound);
+    EXPECT_EQ(f.clerkB.stats().controlTransfers.value(), 0u);
+}
+
 TEST(NameClerk, ProbeThenControlFallsBackAfterBudget)
 {
     names::NameClerkParams p;
