@@ -421,6 +421,29 @@ TEST(DfsServer, StaleHandleErrorsPropagate)
               util::ErrorCode::kNotFound);
 }
 
+TEST(DfsServer, TruncatedCallBodiesAreRefusedAsMalformed)
+{
+    DfsFixture f;
+    auto serve = [&f](std::vector<uint8_t> body) {
+        auto t = f.server.handleBody(1, std::move(body));
+        return runToCompletion(f.cluster.sim, t);
+    };
+    // An empty body, bare procedure numbers, and a GETATTR whose handle
+    // is cut after its first 8 of 32 bytes: no procedure runs on them.
+    std::vector<uint8_t> getattr = {1, 0, 0, 0};
+    for (uint32_t word : {f.file.inode, f.file.generation}) {
+        for (int i = 0; i < 4; ++i) {
+            getattr.push_back(static_cast<uint8_t>(word >> (8 * i)));
+        }
+    }
+    std::vector<uint8_t> malformed = {
+        static_cast<uint8_t>(util::ErrorCode::kMalformed), 0, 0, 0};
+    EXPECT_EQ(serve({}), malformed);
+    EXPECT_EQ(serve({1, 0, 0, 0}), malformed);
+    EXPECT_EQ(serve({6, 0, 0, 0}), malformed);
+    EXPECT_EQ(serve(getattr), malformed);
+}
+
 TEST(DfsServer, WriteThroughHyRefreshesExportedCaches)
 {
     DfsFixture f;
